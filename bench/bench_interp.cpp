@@ -12,7 +12,7 @@
  *     tier's best case; acceptance: blockc >= 3.5x plain);
  *   - the database-search kernel on a small grid (channels, links and
  *     scheduling in the mix; acceptance: blockc >= 1.8x plain),
- *     toggled through RunOptions.
+ *     toggled through the node configuration.
  *
  * Pass/fail uses the MEDIAN of per-repetition speedup RATIOS: each
  * timed repetition runs all three tiers back to back, so a noise
@@ -40,7 +40,6 @@
 #include <vector>
 
 #include "apps/dbsearch.hh"
-#include "par/parallel_engine.hh"
 
 #include "util.hh"
 
@@ -62,18 +61,7 @@ enum class Tier
     Blockc, ///< predecode on, block compiler on
 };
 
-const char *
-tierName(Tier t)
-{
-    switch (t) {
-      case Tier::Plain:  return "plain";
-      case Tier::Fused:  return "fused";
-      default:           return "blockc";
-    }
-}
-
-/** Process CPU time (all threads -- the dbsearch run dispatches on a
- *  worker): immune to the container's scheduling noise. */
+/** Process CPU time: immune to the host's scheduling noise. */
 double
 cpuSeconds()
 {
@@ -211,20 +199,14 @@ runDbSearchOnce(Tier tier)
     apps::DbSearchConfig cfg;
     cfg.width = 4;
     cfg.height = 4;
-    // the app's constructor runs the boot phase already, so the
-    // node config must agree with the RunOptions toggles below
     cfg.node.predecode = tier != Tier::Plain;
     cfg.node.blockCompile = tier == Tier::Blockc;
     auto db = std::make_unique<apps::DbSearch>(cfg);
     for (int q = 0; q < 12; ++q)
         db->inject(static_cast<Word>(7 * q + 3));
     const Tick limit = db->network().queue().now() + 6'000'000;
-    net::RunOptions opts;
-    opts.threads = 1;
-    opts.predecode = tier != Tier::Plain;
-    opts.blockCompile = tier == Tier::Blockc;
     const double t0 = cpuSeconds();
-    db->network().run(limit, opts);
+    db->network().run(limit);
     const double secs = cpuSeconds() - t0;
     Measure m;
     m.fill(db->network().counters());

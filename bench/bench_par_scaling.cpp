@@ -40,7 +40,6 @@ constexpr Tick sliceNs = 3'000'000; // 3 ms of simulated time
 struct Result
 {
     int threads; // 0: serial engine (no shards, no barriers)
-    bool epoch;  // per-shard-pair epoch windows (vs legacy global)
     double wall_ms;
     uint64_t events;
     uint64_t rounds;
@@ -69,12 +68,12 @@ struct Result
     {
         if (threads == 0)
             return "serial";
-        return fmt("{} shard", threads) + (epoch ? "" : " legacy");
+        return fmt("{} shard", threads);
     }
 };
 
 Result
-runOnce(int threads, bool epoch = true)
+runOnce(int threads)
 {
     apps::DbSearchConfig cfg;
     cfg.width = gridW;
@@ -87,7 +86,6 @@ runOnce(int threads, bool epoch = true)
 
     Result r{};
     r.threads = threads;
-    r.epoch = epoch;
     const auto t0 = std::chrono::steady_clock::now();
     if (threads == 0) {
         db->network().run(limit);
@@ -96,7 +94,6 @@ runOnce(int threads, bool epoch = true)
         net::RunOptions opts;
         opts.threads = threads;
         opts.partition = net::Partition::Contiguous;
-        opts.epochWindows = epoch;
         par::RunStats stats;
         par::runParallel(db->network(), limit, opts, &stats);
         r.events = stats.totalEvents();
@@ -128,10 +125,6 @@ main()
     results.push_back(runOnce(0)); // serial baseline
     for (int threads : {1, 2, 4, 8})
         results.push_back(runOnce(threads));
-    // the legacy global-window engine, for the epoch-batching A/B:
-    // same simulation, narrower windows, more barrier rounds
-    for (int threads : {2, 4})
-        results.push_back(runOnce(threads, false));
 
     const double serial_ms = results.front().wall_ms;
     bool identical = true;
@@ -165,8 +158,6 @@ main()
     for (size_t i = 0; i < results.size(); ++i) {
         const auto &r = results[i];
         json << "    {\"threads\": " << r.threads
-             << ", \"epoch_windows\": "
-             << (r.epoch && r.threads ? "true" : "false")
              << ", \"wall_ms\": " << r.wall_ms
              << ", \"events\": " << r.events
              << ", \"rounds\": " << r.rounds

@@ -11,15 +11,13 @@
  * the compact node state target, a sea of mostly-idle nodes with a
  * travelling active front.
  *
- * Three result groups, written to BENCH_scale.json:
+ * Two result groups, written to BENCH_scale.json:
  *  - weak scaling: 1k / 10k / 100k nodes under the epoch-window
  *    engine with the compact node configuration (nodes/sec/core);
  *  - bytes/node: mean and max Transputer::footprintBytes() after the
- *    run, plus the cost of a node that never executed at all;
- *  - A/B at 1k nodes, 4 threads: the pre-PR engine (legacy global
- *    windows, default eager node configuration) against this PR
- *    (epoch windows, compact configuration).  The acceptance bar is
- *    a >= 2x throughput ratio.
+ *    run, plus the cost of a node that never executed at all.
+ * The run passes when every wave reduces exactly and an idle node
+ * stays within 1 KiB.
  */
 
 #include <algorithm>
@@ -47,7 +45,6 @@ struct Result
 {
     std::string label;
     int width, height;
-    bool epoch;
     double build_s;   // construct + compile + boot
     double run_s;     // start-up + one wave, parallel engine
     uint64_t rounds;
@@ -68,7 +65,7 @@ struct Result
 };
 
 Result
-runOnce(const std::string &label, int w, int h, bool epoch,
+runOnce(const std::string &label, int w, int h,
         const core::Config &node)
 {
     apps::FloodConfig cfg;
@@ -81,7 +78,6 @@ runOnce(const std::string &label, int w, int h, bool epoch,
     r.label = label;
     r.width = w;
     r.height = h;
-    r.epoch = epoch;
 
     const auto t0 = std::chrono::steady_clock::now();
     apps::Flood flood(cfg);
@@ -90,7 +86,6 @@ runOnce(const std::string &label, int w, int h, bool epoch,
     net::RunOptions opts;
     opts.threads = kThreads;
     opts.partition = net::Partition::Contiguous;
-    opts.epochWindows = epoch;
     par::RunStats stats;
     par::runParallel(flood.network(), kLimit, opts, &stats);
     const auto t2 = std::chrono::steady_clock::now();
@@ -137,7 +132,6 @@ emitRun(std::ofstream &json, const Result &r, unsigned cores,
     json << "    {\"label\": \"" << r.label << "\""
          << ", \"nodes\": " << r.nodes() << ", \"width\": " << r.width
          << ", \"height\": " << r.height
-         << ", \"epoch_windows\": " << (r.epoch ? "true" : "false")
          << ", \"build_s\": " << r.build_s
          << ", \"run_s\": " << r.run_s
          << ", \"nodes_per_sec_per_core\": "
@@ -162,33 +156,13 @@ main(int argc, char **argv)
             std::to_string(kThreads) + " shards");
     std::cout << "host hardware_concurrency: " << cores << "\n\n";
 
+    // weak scaling under the epoch-window engine + compact state
     const core::Config compact = apps::FloodConfig::scaleNodeConfig();
-    const core::Config eager; // the pre-PR per-node defaults
-
-    // weak scaling under the new engine + compact state
     std::vector<Result> scaling;
-    scaling.push_back(runOnce("1k", 32, 32, true, compact));
-    scaling.push_back(runOnce("10k", 100, 100, true, compact));
+    scaling.push_back(runOnce("1k", 32, 32, compact));
+    scaling.push_back(runOnce("10k", 100, 100, compact));
     if (!quick)
-        scaling.push_back(runOnce("100k", 320, 313, true, compact));
-
-    // the pre-PR engine at 1k nodes (legacy global windows, default
-    // node configuration) against this PR's engine.  Wall time of a
-    // 60 ms phase on a loaded host is noisy, so each side takes the
-    // best of several runs -- the standard way to measure the code
-    // rather than the scheduler.
-    constexpr int kAbRuns = 5;
-    Result pre = runOnce("1k_pre", 32, 32, false, eager);
-    Result post = runOnce("1k_post", 32, 32, true, compact);
-    for (int i = 1; i < kAbRuns; ++i) {
-        const Result a = runOnce("1k_pre", 32, 32, false, eager);
-        if (a.run_s < pre.run_s)
-            pre = a;
-        const Result b = runOnce("1k_post", 32, 32, true, compact);
-        if (b.run_s < post.run_s)
-            post = b;
-    }
-    const double ratio = pre.run_s / post.run_s;
+        scaling.push_back(runOnce("100k", 320, 313, compact));
 
     const size_t idle = idleNodeBytes();
 
@@ -200,16 +174,11 @@ main(int argc, char **argv)
         t.row(r.label, r.nodes(), r.build_s, r.run_s, r.rounds,
               r.nodesPerSecPerCore(cores), r.bytesMean,
               r.ok ? "yes" : "NO");
-    t.row(pre.label, pre.nodes(), pre.build_s, pre.run_s, pre.rounds,
-          pre.nodesPerSecPerCore(cores), pre.bytesMean,
-          pre.ok ? "yes" : "NO");
     t.rule();
     std::cout << "\nidle (never-executed) node: " << idle
               << " bytes of side structures\n";
-    std::cout << "1k-node throughput vs pre-PR engine: " << ratio
-              << "x\n";
 
-    bool ok = pre.ok && idle <= 1024 && ratio >= 2.0;
+    bool ok = idle <= 1024;
     for (const auto &r : scaling)
         ok = ok && r.ok;
 
@@ -221,12 +190,7 @@ main(int argc, char **argv)
          << "  \"weak_scaling\": [\n";
     for (size_t i = 0; i < scaling.size(); ++i)
         emitRun(json, scaling[i], cores, i + 1 == scaling.size());
-    json << "  ],\n  \"ab_1k\": {\n   \"pre\": [\n";
-    emitRun(json, pre, cores, true);
-    json << "   ],\n   \"post\": [\n";
-    emitRun(json, post, cores, true);
-    json << "   ],\n   \"throughput_ratio\": " << ratio
-         << "\n  },\n  \"pass\": " << (ok ? "true" : "false")
+    json << "  ],\n  \"pass\": " << (ok ? "true" : "false")
          << "\n}\n";
     std::cout << "wrote BENCH_scale.json\n";
     return ok ? 0 : 1;

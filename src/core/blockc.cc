@@ -1293,7 +1293,7 @@ Transputer::restoreBlockTier(const obs::BlockStats &s)
 bool
 Transputer::blockBackendUsable()
 {
-#if defined(TRANSPUTER_BLOCKC) && defined(__GNUC__)
+#ifdef __GNUC__
     return true;
 #else
     return false;
@@ -1375,7 +1375,6 @@ Transputer::runBlocks(Tick bound, int budget)
     blockc::Deopt why = blockc::Deopt::End;
     const int n = backend_->run(*this, *sb, bound, budget, why);
     ++bc.stats().deopts[static_cast<size_t>(why)];
-#ifdef TRANSPUTER_OBS
     // flight ring only (not the trace ring), and only the abnormal
     // reasons: Bound/Budget/End are how every batched dispatch ends,
     // and recording them would evict the scheduler history a
@@ -1386,7 +1385,6 @@ Transputer::runBlocks(Tick bound, int budget)
         recordFlight(time_, obs::Ev::Deopt,
                      static_cast<uint64_t>(why),
                      static_cast<uint64_t>(n), 0);
-#endif
     if (why == blockc::Deopt::GuardStale)
         bc.invalidate(*sb); // self-modified: re-heat and recompile
     return n;

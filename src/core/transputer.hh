@@ -75,8 +75,8 @@ struct Config
     bool predecode = true;         ///< use the predecoded instruction cache
     /** Compile hot predecoded regions into superblocks (core/blockc).
      *  Requires predecode; architecturally invisible, like the
-     *  predecode cache itself.  Ignored (forced off) when the build
-     *  disables the tier (TRANSPUTER_BLOCKC=OFF or no computed goto). */
+     *  predecode cache itself.  Ignored (forced off) when the
+     *  compiler has no computed goto (see blockBackendUsable). */
     bool blockCompile = true;
     bool trace = false;            ///< record scheduler/channel/link events
     unsigned traceDepth = 16;      ///< log2 of the trace ring capacity
@@ -100,9 +100,11 @@ struct Config
     /**
      * Slots in the predecoded-instruction cache (a power of two).
      * The default suits a busy standalone part; huge networks of
-     * mostly-idle nodes shrink it (64 slots still covers a typical
-     * occam inner loop) so 100k nodes fit in host RAM.  Purely an
-     * acceleration structure: any size executes identically.
+     * mostly-idle nodes shrink it so 100k nodes fit in host RAM (the
+     * flood and routed-query scale configs use 8 slots: they rarely
+     * hit, yet turning predecode off instead makes set-up and runs
+     * slower).  Purely an acceleration structure: any size executes
+     * identically.
      */
     size_t icacheEntries = PredecodeCache::kDefaultEntries;
 };
@@ -328,14 +330,10 @@ class Transputer
     void
     traceLink(obs::Ev ev, uint64_t a, uint64_t b = 0, uint32_t c = 0)
     {
-#ifdef TRANSPUTER_OBS
         if (obsTrace_)
             obsTrace_->record(queue_->now(), ev, a, b, c);
         if (flightOn_ && obs::flightWorthy(ev))
             recordFlight(queue_->now(), ev, a, b, c);
-#else
-        (void)ev; (void)a; (void)b; (void)c;
-#endif
     }
 
     /** One link byte moved through an attached engine (called by the
@@ -446,8 +444,8 @@ class Transputer
      */
     void setBlockCompileEnabled(bool on);
     bool blockCompileEnabled() const { return blockCompileEnabled_; }
-    /** True when this build can execute superblocks (TRANSPUTER_BLOCKC
-     *  and a computed-goto compiler). */
+    /** True when this build can execute superblocks (the threaded
+     *  backend needs a computed-goto compiler). */
     static bool blockBackendUsable();
     ///@}
 
@@ -491,21 +489,16 @@ class Transputer
      *  discipline over the private hot state (core/blockc.cc). */
     friend class blockc::ThreadedBackend;
 
-    /** Record a trace event at an explicit timestamp.  Compiles to
-     *  nothing without TRANSPUTER_OBS; otherwise one branch on a
-     *  pointer when tracing is off. */
+    /** Record a trace event at an explicit timestamp: one branch on
+     *  a pointer when tracing is off. */
     void
     trcAt(Tick when, obs::Ev ev, uint64_t a, uint64_t b = 0,
           uint32_t c = 0)
     {
-#ifdef TRANSPUTER_OBS
         if (obsTrace_)
             obsTrace_->record(when, ev, a, b, c);
         if (flightOn_ && obs::flightWorthy(ev))
             recordFlight(when, ev, a, b, c);
-#else
-        (void)when; (void)ev; (void)a; (void)b; (void)c;
-#endif
     }
 
     /**

@@ -16,7 +16,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,53 +46,18 @@ enum class Partition
     Custom,     ///< RunOptions::shardOf supplies the map
 };
 
-/** Options for a (possibly parallel) simulation run. */
+/**
+ * How a (possibly parallel) run spreads the nodes over shards.  What
+ * each node does -- execution tiers, tracing, profiling, time-series
+ * -- is its own core::Config, changed only through the node's or the
+ * network's setters; a run never rewrites it.
+ */
 struct RunOptions
 {
     int threads = 1;      ///< number of shards / worker threads
     Partition partition = Partition::Contiguous;
     /** Custom node -> shard map (Partition::Custom only). */
     std::vector<int> shardOf;
-    /**
-     * Force the predecoded instruction cache on/off on every node for
-     * this run; unset leaves each node's own setting alone.
-     */
-    std::optional<bool> predecode;
-    /**
-     * Force the block-compiler execution tier on/off on every node
-     * for this run; unset leaves each node's own setting alone.
-     * Enabling is a no-op in builds that cannot back the tier.
-     */
-    std::optional<bool> blockCompile;
-    /**
-     * Force event tracing on/off on every node for this run; unset
-     * leaves each node's own setting alone.  Tracing never perturbs
-     * the simulation (src/obs).
-     */
-    std::optional<bool> trace;
-    /**
-     * Force the guest sampling profiler on/off on every node for this
-     * run; unset leaves each node's own setting alone.  Sampling is
-     * keyed off the simulated clock, so profiles are bit-identical
-     * between serial and parallel runs and the simulation itself is
-     * unperturbed (src/obs/profile.hh).
-     */
-    std::optional<bool> profile;
-    /** Force the metrics time-series on/off on every node for this
-     *  run; unset leaves each node's own setting alone. */
-    std::optional<bool> timeseries;
-    /**
-     * Per-shard-pair epoch windows (the conservative-DES lookahead
-     * bound, src/par/parallel_engine.hh): each shard's window end is
-     * computed from the other shards' published next-event times plus
-     * the all-pairs shortest link lead between the shards, so shards
-     * that are far apart in the topology (or idle) batch whole epochs
-     * of events per barrier round.  Off: every shard uses the legacy
-     * global window [globalNext, globalNext + minimum cut lead).
-     * Both modes are bit-identical to the serial engine; this switch
-     * exists so benchmarks can compare them.
-     */
-    bool epochWindows = true;
 };
 
 /** A collection of transputers wired by links, with one time base. */

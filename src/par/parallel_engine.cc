@@ -12,17 +12,10 @@
  *   (every shard independently computes its window end from the
  *    published times, then dispatches its events inside the window)
  *
- * Safety, legacy global window (epochWindows = false).  Every event a
- * shard dispatches in a round has when >= globalNext.  A cross-shard
- * delivery it produces is timed at least Line::minDeliveryLead()
- * after its cause, so it lands at when >= globalNext + lookahead =
- * windowEnd: nothing a shard dispatches inside the window can be
- * affected by a delivery that has not yet been drained.
- *
- * Safety, per-shard epoch windows (the default).  Let d(t, s) be the
- * narrowest lead of the cut lines from shard t to shard s, and D the
- * all-pairs shortest-path closure of d under addition (with
- * D[s][s] = the shortest cycle through s, never zero).  Inboxes drain
+ * Safety.  Let d(t, s) be the narrowest lead of the cut lines from
+ * shard t to shard s, and D the all-pairs shortest-path closure of d
+ * under addition (with D[s][s] = the shortest cycle through s, never
+ * zero).  Inboxes drain
  * only at barrier A, so the earliest event shard s can ever receive
  * that is not already in its queue is the head of a causal chain
  * starting from some shard t's next undispatched event: it arrives at
@@ -35,12 +28,10 @@
  * slack).  Each shard dispatches strictly below its own EIT; a shard
  * with no incoming cut paths (or whose peers are idle) runs an
  * arbitrarily long epoch per round.  EIT(s) >= globalNext + narrowest
- * lead always, so epoch windows strictly contain the legacy windows
- * and a run never takes more rounds than the legacy mode.
+ * lead always, so every round makes progress.
  *
- * Determinism in both modes follows from the (tick, actor, channel,
- * seq) dispatch order, which is the same total order the serial
- * queue uses.
+ * Determinism follows from the (tick, actor, channel, seq) dispatch
+ * order, which is the same total order the serial queue uses.
  */
 
 #include "par/parallel_engine.hh"
@@ -74,9 +65,7 @@ struct Coord
 
     Barrier barrier;
     Tick limit = maxTick;
-    Tick limitCap = maxTick;  ///< satAdd(limit, 1): dispatch bound
-    Tick lookahead = maxTick; ///< legacy window width (maxTick: uncut)
-    bool epoch = true;        ///< per-shard-pair epoch windows
+    Tick limitCap = maxTick; ///< satAdd(limit, 1): dispatch bound
     int nshards = 1;
     /** All-pairs shortest cut-link lead, row-major [from][to]; the
      *  diagonal holds the shortest cycle through the shard (maxTick
@@ -115,22 +104,15 @@ workerLoop(Shard &self, int sidx,
             return; // quiescent, or nothing left inside the limit
         if (rounds)
             ++*rounds;
-        Tick window_end;
-        if (c.epoch) {
-            // earliest possible not-yet-drained arrival at this shard
-            Tick eit = maxTick;
-            for (int t = 0; t < c.nshards; ++t)
-                eit = std::min(
-                    eit,
-                    satAdd(next[static_cast<size_t>(t)],
-                           c.dist[static_cast<size_t>(t) *
-                                      static_cast<size_t>(c.nshards) +
-                                  static_cast<size_t>(sidx)]));
-            window_end = std::min(eit, c.limitCap);
-        } else {
-            window_end =
-                std::min(satAdd(global_next, c.lookahead), c.limitCap);
-        }
+        // earliest possible not-yet-drained arrival at this shard
+        Tick eit = maxTick;
+        for (int t = 0; t < c.nshards; ++t)
+            eit = std::min(
+                eit, satAdd(next[static_cast<size_t>(t)],
+                            c.dist[static_cast<size_t>(t) *
+                                       static_cast<size_t>(c.nshards) +
+                                   static_cast<size_t>(sidx)]));
+        const Tick window_end = std::min(eit, c.limitCap);
         // CPUs may batch instructions ahead of dispatched events, but
         // not into the next window (another shard's delivery may land
         // there) and not past the limit (so the final run-ahead
@@ -178,21 +160,6 @@ runParallel(net::Network &net, Tick limit, const net::RunOptions &opts,
 {
     auto &master = net.queue();
     const size_t n = net.size();
-    if (opts.predecode)
-        for (size_t i = 0; i < n; ++i)
-            net.node(i).setPredecodeEnabled(*opts.predecode);
-    if (opts.blockCompile)
-        for (size_t i = 0; i < n; ++i)
-            net.node(i).setBlockCompileEnabled(*opts.blockCompile);
-    if (opts.trace)
-        for (size_t i = 0; i < n; ++i)
-            net.node(i).setTraceEnabled(*opts.trace);
-    if (opts.profile)
-        for (size_t i = 0; i < n; ++i)
-            net.node(i).setProfileEnabled(*opts.profile);
-    if (opts.timeseries)
-        for (size_t i = 0; i < n; ++i)
-            net.node(i).setTimeseriesEnabled(*opts.timeseries);
     if (n == 0)
         return net.run(limit);
 
@@ -212,7 +179,6 @@ runParallel(net::Network &net, Tick limit, const net::RunOptions &opts,
             stats->rounds = 0;
             stats->barriers = 0;
             stats->lookahead = maxTick;
-            stats->epochWindows = false;
             stats->shards = {ShardStats{static_cast<int>(n),
                                         master.dispatched() - before,
                                         0, 0}};
@@ -249,9 +215,9 @@ runParallel(net::Network &net, Tick limit, const net::RunOptions &opts,
         shards[s]->queue.insertPending(std::move(p));
     }
 
-    // route cut lines into the destination shard's inbox; the
-    // narrowest cut line sets the legacy lookahead and the cut leads
-    // seed the per-shard-pair distance matrix
+    // route cut lines into the destination shard's inbox; the cut
+    // leads seed the per-shard-pair distance matrix, and the narrowest
+    // one is reported as the run's lookahead
     const size_t ns = static_cast<size_t>(nshards);
     std::vector<Tick> dist(ns * ns, maxTick);
     Tick lookahead = maxTick;
@@ -290,8 +256,6 @@ runParallel(net::Network &net, Tick limit, const net::RunOptions &opts,
     Coord coord(nshards);
     coord.limit = limit;
     coord.limitCap = satAdd(limit, 1);
-    coord.lookahead = lookahead;
-    coord.epoch = opts.epochWindows;
     coord.nshards = nshards;
     coord.dist = std::move(dist);
 
@@ -330,7 +294,6 @@ runParallel(net::Network &net, Tick limit, const net::RunOptions &opts,
         stats->rounds = rounds;
         stats->barriers = barriers;
         stats->lookahead = lookahead;
-        stats->epochWindows = opts.epochWindows;
         stats->shards.clear();
         for (const auto &sh : shards)
             stats->shards.push_back(ShardStats{

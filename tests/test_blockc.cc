@@ -266,9 +266,9 @@ expectSameCpu(core::Transputer &on, core::Transputer &off)
     EXPECT_TRUE(obs::sameArchitectural(on.counters(), off.counters()));
 }
 
-/** Whether this build can actually back the tier (GNU computed goto
- *  and TRANSPUTER_BLOCKC): the equality tests hold either way, the
- *  counter expectations only when the tier runs. */
+/** Whether this build can actually back the tier (GNU computed
+ *  goto): the equality tests hold either way, the counter
+ *  expectations only when the tier runs. */
 const bool kTierUsable = core::Transputer::blockBackendUsable();
 
 } // namespace
@@ -557,8 +557,6 @@ runDbSearch(bool block_compile, int threads)
     cfg.width = 3;
     cfg.height = 3;
     cfg.recordsPerNode = 80;
-    // the app's constructor already runs the boot phase, so the node
-    // config must agree with the RunOptions toggle below
     cfg.node.blockCompile = block_compile;
     auto db = std::make_unique<apps::DbSearch>(cfg);
     for (int q = 0; q < 3; ++q)
@@ -566,7 +564,6 @@ runDbSearch(bool block_compile, int threads)
     const Tick limit = db->network().queue().now() + 6'000'000;
     net::RunOptions opts;
     opts.threads = threads;
-    opts.blockCompile = block_compile;
     db->network().run(limit, opts);
     return db;
 }
@@ -616,8 +613,6 @@ TEST(BlockTierWorkloads, DbSearchTierShardedBitIdentical)
     auto sharded = runDbSearch(true, 3);
     expectSameDbSearch(*serial, *sharded, "3x3 dbsearch x3 shards");
 }
-
-#ifdef TRANSPUTER_FAULT
 
 #include "fault/fault.hh"
 #include "net/occam_boot.hh"
@@ -683,14 +678,14 @@ TEST(BlockTierWorkloads, FaultInjectedRunTierOnOffBitIdentical)
     buildFaultyPipeline(on);
     buildFaultyPipeline(off);
     const Tick limit = 20'000'000;
-    net::RunOptions on_opts, off_opts;
-    on_opts.blockCompile = true;
-    off_opts.blockCompile = false;
+    for (size_t i = 0; i < off.net.size(); ++i)
+        off.net.node(i).setBlockCompileEnabled(false);
     // the tier-on leg also runs sharded: tier + faults + parallel
     // engine together must still match the plain serial interpreter
+    net::RunOptions on_opts;
     on_opts.threads = 2;
     on.net.run(limit, on_opts);
-    off.net.run(limit, off_opts);
+    off.net.run(limit);
     EXPECT_EQ(on.net.queue().now(), off.net.queue().now());
     ASSERT_EQ(on.net.size(), off.net.size());
     for (size_t i = 0; i < on.net.size(); ++i) {
@@ -711,5 +706,3 @@ TEST(BlockTierWorkloads, FaultInjectedRunTierOnOffBitIdentical)
                   stats.dataCorrupted,
               0u);
 }
-
-#endif // TRANSPUTER_FAULT

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "harness.hh"
 
 using namespace transputer;
@@ -97,22 +99,85 @@ TEST(Channel, LargeMessageCopies)
                   static_cast<Word>(0x0101 * (i + 1)));
 }
 
+namespace
+{
+
+/**
+ * Cycles a two-process internal rendezvous of n bytes adds to a run,
+ * less the set-up loads on both sides: the sum of what the outputting
+ * and the inputting process pay for the communication.
+ */
+int64_t
+rendezvousCycles(int n, const WordShape &shape)
+{
+    core::Config cfg;
+    cfg.shape = shape;
+    cfg.onchipBytes = 8192;
+    // B's workspace sits far enough below A's that B's receive buffer
+    // (from its slot 30) never reaches A's frame
+    const int gap = 50 + n / shape.bytes;
+    const std::string a_part = "  ldlp 30\n ldlp 20\n ldc " +
+                               std::to_string(n) + "\n out\n";
+    const std::string b_part = "  ldlp 30\n ldlp " +
+                               std::to_string(gap + 20) + "\n ldc " +
+                               std::to_string(n) + "\n in\n";
+    auto program = [&](bool with_comm) {
+        std::string s = "start:\n"
+                        "  mint\n stl 20\n"
+                        "  ldap procb\n ldlp -" + std::to_string(gap) +
+                        "\n stnl -1\n"
+                        "  ldlp -" + std::to_string(gap) +
+                        "\n ldc 1\n or\n runp\n";
+        if (with_comm) {
+            s += a_part + "  stopp\n";
+        } else {
+            // unexecuted padding keeps the ldap-to-procb distance (and
+            // so its prefix length) identical
+            s += "  stopp\n  .space " +
+                 std::to_string(
+                     tasm::assemble(a_part, shape.mostNeg, shape)
+                         .bytes.size()) +
+                 "\n";
+        }
+        return s + "procb:\n" + (with_comm ? b_part : "") + "  stopp\n";
+    };
+    auto cycles = [&](bool with_comm) {
+        SingleCpu t(cfg);
+        t.loadAsm(program(with_comm));
+        t.wptr0 = t.bootWptr(400);
+        t.cpu.boot(t.img.symbol("start"), t.wptr0);
+        t.queue.runUntil(500'000'000);
+        EXPECT_TRUE(t.cpu.idle());
+        return static_cast<int64_t>(t.cpu.cycles());
+    };
+    // ldlp/ldc cost one cycle per encoded byte, prefixes included, so
+    // the set-up loads cost exactly their assembled length
+    const auto loads = tasm::assemble(
+        "ldlp 30\nldlp 20\nldc " + std::to_string(n) + "\n" +
+            "ldlp 30\nldlp " + std::to_string(gap + 20) + "\nldc " +
+            std::to_string(n) + "\n",
+        shape.mostNeg, shape);
+    return cycles(true) - cycles(false) -
+           static_cast<int64_t>(loads.bytes.size());
+}
+
+} // namespace
+
 TEST(Channel, CommunicationCostMatchesPaperFormula)
 {
-    // measure cycles for a 4-byte internal rendezvous pair: the
-    // paper says "on average the maximum of (24, 21+(8*n)/wordlength)
-    // cycles (including the scheduling overhead)"
-    SingleCpu t;
-    t.runAsm(chanProgram(
-        "  ldlp 10\n ldlp 20\n ldc 4\n out\n stopp\n",
-        "  ldlp 5\n ldlp 60\n ldc 4\n in\n stopp\n"));
-    SingleCpu u; // identical program without the communication
-    u.runAsm(chanProgram("  stopp\n", "  stopp\n"));
-    const auto comm_pair =
-        static_cast<int64_t>(t.cpu.cycles() - u.cpu.cycles()) -
-        6; // minus the three one-cycle loads on each side
-    // two processes communicated once: average per process
-    EXPECT_NEAR(static_cast<double>(comm_pair) / 2.0, 24.0, 2.0);
+    // "a communication primitive communicating a block of size n
+    // bytes requires ... on average the maximum of (24,
+    // 21+(8*n/wordlength)) cycles (including the scheduling
+    // overhead)": two processes communicated once, so the pair pays
+    // exactly twice the per-process average
+    for (const WordShape *shape : {&word32, &word16})
+        for (int n : {4, 8, 16, 32, 64, 128, 256}) {
+            SCOPED_TRACE(std::to_string(shape->bits) + "-bit, " +
+                         std::to_string(n) + " bytes");
+            const int64_t paper =
+                std::max<int64_t>(24, 21 + 8 * n / shape->bits);
+            EXPECT_EQ(rendezvousCycles(n, *shape), 2 * paper);
+        }
 }
 
 TEST(Channel, AltSelectsReadyChannel)

@@ -169,8 +169,6 @@ TEST(FuzzRouteDecoder, ValidStreamSurvivesInterleavedGarbage)
     EXPECT_GE(dec.stats().packets, sent);
 }
 
-#ifdef TRANSPUTER_FAULT
-
 TEST(FuzzRouteSwitch, ForgedPacketsNeverCrashALiveSwitch)
 {
     // hostile mid-route traffic: packets with arbitrary field values
@@ -225,9 +223,10 @@ TEST(FuzzRouteSwitch, HostileWireBytesMidRouteStayExact)
     for (const auto &a : rq.answers()) {
         ++perNode[a.src];
         EXPECT_LE(perNode[a.src], 1) << "duplicate from " << a.src;
-        if (a.vchan == 0)
+        if (a.vchan == 0) {
             EXPECT_EQ(a.word, key + 1)
                 << "corruption leaked into a payload from " << a.src;
+        }
     }
     // the wire really was hostile, and the decoders really rejected
     // frames (stats are summed across every switch port)
@@ -243,5 +242,3 @@ TEST(FuzzRouteSwitch, HostileWireBytesMidRouteStayExact)
     }
     EXPECT_GT(rejected, 0u);
 }
-
-#endif // TRANSPUTER_FAULT

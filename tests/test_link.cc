@@ -367,7 +367,6 @@ TEST(Link, EndOfByteAckSetsThirteenBitPacketSpacing)
     }
 }
 
-#ifdef TRANSPUTER_FAULT
 TEST(Link, WireReconfigurationMidMessage)
 {
     // AckMode edge case: the wire's behaviour changes *during* a
@@ -415,4 +414,3 @@ TEST(Link, WireReconfigurationMidMessage)
     EXPECT_EQ(wire->dataPackets(), 64u);
     EXPECT_EQ(wire->dataDropped(), 0u);
 }
-#endif // TRANSPUTER_FAULT

@@ -218,10 +218,11 @@ checkCountersEquivalence(BuildFn build, int threads,
     Rig serial, parallel;
     build(serial);
     build(parallel);
+    // counters must hold with the tracer active too
+    serial.net.setTraceEnabled(true);
+    parallel.net.setTraceEnabled(true);
     RunOptions opts;
     opts.threads = threads;
-    opts.trace = true; // counters must hold with the tracer active too
-    serial.net.setTraceEnabled(true);
     serial.net.run();
     parallel.net.run(maxTick, opts);
     ASSERT_EQ(serial.net.size(), parallel.net.size());
@@ -306,7 +307,6 @@ TEST(ObsTrace, TracingLeavesArchitecturalStateBitIdentical)
         EXPECT_TRUE(obs::sameArchitectural(a.counters(), b.counters()));
     }
     EXPECT_EQ(plain.console->bytes(), traced.console->bytes());
-#ifdef TRANSPUTER_OBS
     // and the traced side really traced
     uint64_t records = 0;
     for (size_t i = 0; i < traced.net.size(); ++i) {
@@ -315,7 +315,6 @@ TEST(ObsTrace, TracingLeavesArchitecturalStateBitIdentical)
         records += buf ? buf->total() : 0;
     }
     EXPECT_GT(records, 0u);
-#endif
 }
 
 // ---------------------------------------------------------------------
@@ -352,11 +351,9 @@ TEST(ObsExport, ChromeTraceHasSlicesAndFlows)
     const std::string json = obs::chromeTrace(r.net);
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\": \"M\""), std::string::npos);
-#ifdef TRANSPUTER_OBS
     EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\": \"s\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\": \"f\""), std::string::npos);
-#endif
 }
 
 TEST(ObsExport, DumpMetricsCarriesCountersAndQueueStats)

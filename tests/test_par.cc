@@ -345,20 +345,17 @@ using BuildFn = std::function<void(Rig &)>;
 /** Build the workload twice; run one serially and one sharded; every
  *  observable must be identical. */
 void
-checkEquivalence(const BuildFn &build, Tick limit, RunOptions opts,
+checkEquivalence(const BuildFn &build, Tick limit, const RunOptions &opts,
                  const std::string &what, bool predecode = true)
 {
     Rig serial, parallel;
     build(serial);
     build(parallel);
-    if (!predecode) {
-        // serial side directly; parallel side through the RunOptions
-        // plumbing, so both get exercised
-        for (size_t i = 0; i < serial.net.size(); ++i)
-            serial.net.node(static_cast<int>(i))
-                .setPredecodeEnabled(false);
-        opts.predecode = false;
-    }
+    if (!predecode)
+        for (Rig *r : {&serial, &parallel})
+            for (size_t i = 0; i < r->net.size(); ++i)
+                r->net.node(static_cast<int>(i))
+                    .setPredecodeEnabled(false);
     const Tick ts = serial.net.run(limit);
     const Tick tp = parallel.net.run(limit, opts);
     EXPECT_EQ(ts, tp) << what;
@@ -601,7 +598,7 @@ TEST(ParEquivalence, TopologiesWithPredecodeDisabled)
 {
     // every topology once more with the predecode cache off: the
     // serial/parallel guarantee must not depend on the interpreter
-    // fast path (and RunOptions::predecode must reach every node)
+    // fast path
     auto grid = [](Rig &r) { buildGridRig(r, 4, 3, 2); };
     checkEquivalence(buildPipelineRig, maxTick,
                      options(2, Partition::Contiguous),

@@ -144,10 +144,10 @@ checkProfileEquivalence(BuildFn build, int threads,
     serial.net.setProfileEnabled(true);
     serial.net.setTimeseriesEnabled(true);
     serial.net.run();
+    parallel.net.setProfileEnabled(true);
+    parallel.net.setTimeseriesEnabled(true);
     RunOptions opts;
     opts.threads = threads;
-    opts.profile = true;
-    opts.timeseries = true;
     parallel.net.run(maxTick, opts);
 
     const std::string foldedA = obs::foldedProfile(serial.net);

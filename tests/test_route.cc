@@ -278,8 +278,9 @@ TEST(RouteTable, IntervalsPartitionTheDestinationSpace)
                 EXPECT_EQ(covered[static_cast<size_t>(d)],
                           d == self ? 0 : 1)
                     << "self " << self << " dest " << d;
-                if (d != self)
+                if (d != self) {
                     EXPECT_FALSE(t.prefs(d).empty());
+                }
             }
         }
     }
@@ -427,8 +428,6 @@ TEST(RouteFabric, SerialVsParallelBitIdenticalClean)
     EXPECT_EQ(serial.replies(), static_cast<size_t>(serial.nodes() - 1));
     expectSameSnapshots(serial, parallel, nullptr, nullptr);
 }
-
-#ifdef TRANSPUTER_FAULT
 
 namespace
 {
@@ -602,9 +601,10 @@ TEST(RouteFabric, HypercubeFloodSurvivesLossAndAKill)
     std::map<Word, int> perNode;
     for (const auto &a : rq.answers()) {
         ++perNode[a.src];
-        if (a.vchan == 0)
+        if (a.vchan == 0) {
             EXPECT_EQ(a.word, key + 1)
                 << "corrupt reply from " << a.src;
+        }
     }
     for (int t = 1; t < rq.nodes(); ++t) {
         if (t == victim) {
@@ -654,11 +654,12 @@ TEST(RouteFault, KillQuiescesAttachedLinesAndFiresNeighbourPorts)
         const int nbr = nbrs[i];
         // find the neighbour's port back toward the victim
         for (size_t j = 0; j < fab.topo().ports[nbr].size(); ++j)
-            if (fab.topo().ports[nbr][j] == victim)
+            if (fab.topo().ports[nbr][j] == victim) {
                 EXPECT_TRUE(fab.sw(nbr)
                                 .trunkPort(static_cast<int>(j))
                                 .deadPort())
                     << "neighbour " << nbr << " port " << j;
+            }
     }
     // with all traffic resolved, the whole fabric goes idle: nothing
     // retries forever against the corpse
@@ -702,5 +703,3 @@ TEST(RouteFault, KillsAndWatchdogAbortsAreNamedInTheFlightRecorder)
                             ab.node == fab.netNode(2);
     EXPECT_TRUE(abortOnDeadTrunk);
 }
-
-#endif // TRANSPUTER_FAULT

@@ -99,7 +99,6 @@ TEST(ScaleFlood, TorusSerialVsParallelBitIdentical)
     ASSERT_EQ(serial->answers().size(), 1u);
     EXPECT_EQ(serial->answers().back().count, serial->expectedCount());
     expectSameFlood(*serial, *parallel, "1k torus flood");
-    EXPECT_TRUE(stats.epochWindows);
     EXPECT_GT(stats.rounds, 0u);
     EXPECT_GT(stats.barriers, 0u);
 
@@ -120,34 +119,6 @@ TEST(ScaleFlood, TorusSerialVsParallelBitIdentical)
     if (d)
         FAIL() << "snapshots diverge at " << d->where << ": " << d->a
                << " != " << d->b;
-}
-
-TEST(ScaleFlood, EpochWindowsMatchLegacyWithFewerRounds)
-{
-    auto epoch = makeFlood();
-    auto legacy = makeFlood();
-
-    for (auto *f : {epoch.get(), legacy.get()})
-        f->inject(1);
-
-    net::RunOptions opts;
-    opts.threads = 4;
-    par::RunStats se, sl;
-    opts.epochWindows = true;
-    par::runParallel(epoch->network(),
-                     epoch->network().queue().now() + kLimit, opts,
-                     &se);
-    opts.epochWindows = false;
-    par::runParallel(legacy->network(),
-                     legacy->network().queue().now() + kLimit, opts,
-                     &sl);
-
-    expectSameFlood(*epoch, *legacy, "epoch vs legacy windows");
-    // every epoch window contains the legacy window that the same
-    // published next-event times would produce, so batching can only
-    // reduce the round count
-    EXPECT_LE(se.rounds, sl.rounds);
-    EXPECT_GT(epoch->answers().size(), 0u);
 }
 
 TEST(ScaleFlood, CompactNodeStateStaysSmall)

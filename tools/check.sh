@@ -1,7 +1,7 @@
 #!/bin/sh
-# Smoke check: configure, build and run the tier-1 suite for the
-# default preset, run a traced dbsearch through tprof and validate its
-# JSON outputs, then the sanitizer presets: tsan runs the
+# Smoke check: configure, build (the default preset turns warnings
+# into errors) and run the tier-1 suite for the default preset, run a
+# traced dbsearch through tprof and validate its JSON outputs, then the sanitizer presets: tsan runs the
 # parallel-engine suite (the "par" label, the only tests with
 # cross-thread interactions -- including the observability
 # counter/tracer tests), asan+ubsan runs the fault-injection and
@@ -102,8 +102,8 @@ mkdir -p "$snap_dir"
 # scale-out smoke: a 10k-node flood under the epoch-window parallel
 # engine must reduce to exactly width*height (the example exits
 # nonzero otherwise), and the quick scale bench -- weak scaling minus
-# the 100k point, bytes/node, the A/B ratio gate -- must pass and
-# emit JSON that a strict parser accepts
+# the 100k point, bytes/node -- must pass and emit JSON that a strict
+# parser accepts
 echo "== scale-out: 10k-node flood + bench_scale --quick =="
 ./build/examples/flood 100 100 4 1
 scale_dir=build/scale-smoke
