@@ -26,7 +26,6 @@
  */
 
 #include <cstdint>
-#include <ctime>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -48,31 +47,7 @@ namespace
 
 constexpr int reps = 5; ///< take the best time of these
 
-double
-cpuSeconds()
-{
-    timespec ts{};
-    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) +
-           static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
 // ----- 1a. the e7 fast-path bar (identical shape to bench_interp) ----
-
-std::string
-e7LoopSource(int iterations)
-{
-    std::string body;
-    for (int r = 0; r < 6; ++r)
-        body += "  ldc 5\n stl 1\n adc 3\n stl 2\n ldc 9\n"
-                "  adc 1\n stl 3\n ldlp 4\n stl 4\n";
-    return "start:\n"
-           "  ldc " + std::to_string(iterations) + "\n stl 30\n"
-           "outer:\n" + body +
-           "  ldl 30\n adc -1\n stl 30\n"
-           "  ldl 30\n cj done\n  j outer\n"
-           "done: stopp\n";
-}
 
 double
 e7Ips(bool predecode)
@@ -277,31 +252,31 @@ main()
     std::cout << "\nevery delivered prefix exact: "
               << (all_correct ? "yes" : "NO") << "\n";
 
-    std::ofstream json("BENCH_fault.json");
-    json << "{\n  \"bench\": \"fault_overhead_and_goodput\",\n"
-         << "  \"e7_ips_on\": " << on << ",\n"
-         << "  \"e7_speedup\": " << e7_speedup << ",\n"
-         << "  \"pass_e7_bar_2x\": " << (pass_e7 ? "true" : "false")
-         << ",\n"
-         << "  \"link_stream_host_ms_bare\": " << wd_off * 1e3 << ",\n"
-         << "  \"link_stream_host_ms_watchdogs\": " << wd_on * 1e3
-         << ",\n"
-         << "  \"watchdog_feature_price_pct\": " << armed_pct << ",\n"
-         << "  \"all_exact\": " << (all_correct ? "true" : "false")
-         << ",\n  \"goodput\": [\n";
-    for (size_t i = 0; i < points.size(); ++i) {
-        const auto &p = points[i];
-        json << "    {\"loss\": " << p.loss
-             << ", \"delivered\": " << p.delivered
-             << ", \"exact\": " << (p.correct ? "true" : "false")
-             << ", \"completed\": " << (p.completed ? "true" : "false")
-             << ", \"sim_ms\": " << p.simMs
-             << ", \"words_per_ms\": " << p.wordsPerMs
-             << ", \"data_drops\": " << p.dropped
-             << ", \"link_aborts\": " << p.aborts << "}"
-             << (i + 1 < points.size() ? "," : "") << "\n";
-    }
-    json << "  ]\n}\n";
+    std::ofstream out("BENCH_fault.json");
+    JsonWriter json(out, 2);
+    json.beginObject()
+        .field("bench", "fault_overhead_and_goodput")
+        .field("e7_ips_on", on)
+        .field("e7_speedup", e7_speedup)
+        .field("pass_e7_bar_2x", pass_e7)
+        .field("link_stream_host_ms_bare", wd_off * 1e3)
+        .field("link_stream_host_ms_watchdogs", wd_on * 1e3)
+        .field("watchdog_feature_price_pct", armed_pct)
+        .field("all_exact", all_correct)
+        .key("goodput")
+        .beginArray();
+    for (const auto &p : points)
+        json.beginObject()
+            .field("loss", p.loss)
+            .field("delivered", p.delivered)
+            .field("exact", p.correct)
+            .field("completed", p.completed)
+            .field("sim_ms", p.simMs)
+            .field("words_per_ms", p.wordsPerMs)
+            .field("data_drops", p.dropped)
+            .field("link_aborts", p.aborts)
+            .end();
+    json.end().end();
     std::cout << "wrote BENCH_fault.json\n";
     return pass ? 0 : 1;
 }

@@ -31,9 +31,7 @@
  * comparison).
  */
 
-#include <algorithm>
 #include <chrono>
-#include <ctime>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -61,77 +59,11 @@ enum class Tier
     Blockc, ///< predecode on, block compiler on
 };
 
-/** Process CPU time: immune to the host's scheduling noise. */
-double
-cpuSeconds()
-{
-    timespec ts{};
-    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) +
-           static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
 struct Measure
 {
-    double ips = 0;          ///< simulated instructions per wall second
-    uint64_t instructions = 0;
-    uint64_t cycles = 0;
-    uint64_t icacheHits = 0;
-    uint64_t icacheMisses = 0;
-    uint64_t fusedRuns = 0;
-    uint64_t fusedInstructions = 0;
-    obs::BlockStats blockc;
-
-    double
-    hitRate() const
-    {
-        const double n =
-            static_cast<double>(icacheHits + icacheMisses);
-        return n ? static_cast<double>(icacheHits) / n : 0.0;
-    }
-
-    /** Instructions the fused loop inlined per entry (on-mode only). */
-    double
-    fusedMeanRun() const
-    {
-        return fusedRuns ? static_cast<double>(fusedInstructions) /
-                               static_cast<double>(fusedRuns)
-                         : 0.0;
-    }
-
-    void
-    fill(const obs::Counters &c)
-    {
-        instructions = c.instructions;
-        cycles = c.cycles;
-        icacheHits = c.icacheHits;
-        icacheMisses = c.icacheMisses;
-        fusedRuns = c.fused.runs;
-        fusedInstructions = c.fused.instructions;
-        blockc = c.blockc;
-    }
+    double ips = 0;     ///< simulated instructions per wall second
+    obs::Counters ctrs; ///< the run's counters
 };
-
-double
-medianOf(std::vector<double> s)
-{
-    std::sort(s.begin(), s.end());
-    const size_t n = s.size();
-    return n == 0 ? 0.0
-                  : n % 2 ? s[n / 2]
-                          : (s[n / 2 - 1] + s[n / 2]) / 2.0;
-}
-
-/** Relative spread of a sample: (max - min) / median. */
-double
-spreadOf(const std::vector<double> &v)
-{
-    if (v.empty())
-        return 0.0;
-    const auto [lo, hi] = std::minmax_element(v.begin(), v.end());
-    const double med = medianOf(v);
-    return med ? (*hi - *lo) / med : 0.0;
-}
 
 /** All timed repetitions of one workload at one tier. */
 struct Result
@@ -160,21 +92,6 @@ struct Result
     }
 };
 
-std::string
-e7LoopSource(int iterations)
-{
-    std::string body;
-    for (int r = 0; r < 6; ++r)
-        body += "  ldc 5\n stl 1\n adc 3\n stl 2\n ldc 9\n"
-                "  adc 1\n stl 3\n ldlp 4\n stl 4\n";
-    return "start:\n"
-           "  ldc " + std::to_string(iterations) + "\n stl 30\n"
-           "outer:\n" + body +
-           "  ldl 30\n adc -1\n stl 30\n"
-           "  ldl 30\n cj done\n  j outer\n"
-           "done: stopp\n";
-}
-
 Measure
 runE7Once(Tier tier)
 {
@@ -187,9 +104,8 @@ runE7Once(Tier tier)
     // dominate any single tier's run
     rig.run(e7LoopSource(500'000));
     const double secs = cpuSeconds() - t0;
-    Measure m;
-    m.fill(rig.cpu.counters());
-    m.ips = static_cast<double>(m.instructions) / secs;
+    Measure m{0, rig.cpu.counters()};
+    m.ips = static_cast<double>(m.ctrs.instructions) / secs;
     return m;
 }
 
@@ -208,9 +124,8 @@ runDbSearchOnce(Tier tier)
     const double t0 = cpuSeconds();
     db->network().run(limit);
     const double secs = cpuSeconds() - t0;
-    Measure m;
-    m.fill(db->network().counters());
-    m.ips = static_cast<double>(m.instructions) / secs;
+    Measure m{0, db->network().counters()};
+    m.ips = static_cast<double>(m.ctrs.instructions) / secs;
     return m;
 }
 
@@ -266,48 +181,45 @@ struct Workload
     bool
     identical() const
     {
-        const Result &plain = s.plain, &fused = s.fused,
-                     &blockc = s.blockc;
-        return plain.best.instructions == fused.best.instructions &&
-               plain.best.cycles == fused.best.cycles &&
-               plain.best.instructions == blockc.best.instructions &&
-               plain.best.cycles == blockc.best.cycles;
+        const obs::Counters &p = s.plain.best.ctrs,
+                            &f = s.fused.best.ctrs, &b = s.blockc.best.ctrs;
+        return p.instructions == f.instructions && p.cycles == f.cycles &&
+               p.instructions == b.instructions && p.cycles == b.cycles;
     }
 };
 
 void
-workloadJson(std::ostream &os, const Workload &w)
+workloadJson(JsonWriter &json, const Workload &w)
 {
-    auto tier = [&](const char *name, const Result &r) {
-        os << "      \"" << name << "\": {\"ips_median\": "
-           << r.median() << ", \"ips_best\": " << r.best.ips
-           << ", \"spread\": " << r.spread() << "}";
+    const auto tier = [&](const char *name, const Result &r) {
+        json.key(name)
+            .beginObject()
+            .field("ips_median", r.median())
+            .field("ips_best", r.best.ips)
+            .field("spread", r.spread())
+            .end();
     };
-    os << "    {\"name\": \"" << w.name << "\",\n";
+    const obs::Counters &best = w.s.blockc.best.ctrs;
+    json.beginObject().field("name", w.name);
     tier("plain", w.s.plain);
-    os << ",\n";
     tier("fused", w.s.fused);
-    os << ",\n";
     tier("blockc", w.s.blockc);
-    os << ",\n      \"speedup_fused\": " << w.fusedSpeedup()
-       << ", \"speedup_blockc\": " << w.blockcSpeedup()
-       << ", \"ratio_spread\": " << spreadOf(w.s.blockcRatio)
-       << ", \"bar\": " << w.bar
-       << ", \"identical\": " << (w.identical() ? "true" : "false")
-       << ",\n      \"instructions\": "
-       << w.s.blockc.best.instructions
-       << ", \"icache_hit_rate\": " << w.s.blockc.best.hitRate()
-       << ", \"blockc_enters\": " << w.s.blockc.best.blockc.enters
-       << ", \"blockc_chains\": " << w.s.blockc.best.blockc.chains
-       << ", \"blockc_mean_run\": "
-       << w.s.blockc.best.blockc.meanRunLength()
-       << ", \"blockc_compiles\": "
-       << w.s.blockc.best.blockc.compiles
-       << ",\n      \"blockc_deopts\": {";
+    json.field("speedup_fused", w.fusedSpeedup())
+        .field("speedup_blockc", w.blockcSpeedup())
+        .field("ratio_spread", spreadOf(w.s.blockcRatio))
+        .field("bar", w.bar)
+        .field("identical", w.identical())
+        .field("instructions", best.instructions)
+        .field("icache_hit_rate", best.icacheHitRate())
+        .field("blockc_enters", best.blockc.enters)
+        .field("blockc_chains", best.blockc.chains)
+        .field("blockc_mean_run", best.blockc.meanRunLength())
+        .field("blockc_compiles", best.blockc.compiles)
+        .key("blockc_deopts")
+        .beginObject();
     for (size_t d = 0; d < obs::kBlockDeopts; ++d)
-        os << (d ? ", " : "") << "\"" << obs::kBlockDeoptNames[d]
-           << "\": " << w.s.blockc.best.blockc.deopts[d];
-    os << "}}";
+        json.field(obs::kBlockDeoptNames[d], best.blockc.deopts[d]);
+    json.end().end();
 }
 
 } // namespace
@@ -360,49 +272,54 @@ main()
     }
     const bool pass = bars_met && all_identical;
 
-    std::ofstream json("BENCH_interp.json");
-    json << "{\n  \"bench\": \"interp_fast_path\",\n"
-         << "  \"e7_speedup\": " << e7_fused << ",\n"
-         << "  \"pass_2x\": "
-         << (e7_fused >= 2.0 && all_identical ? "true" : "false")
-         << ",\n"
-         << "  \"median_of\": " << reps << ",\n"
-         << "  \"identical\": " << (all_identical ? "true" : "false")
-         << ",\n  \"workloads\": [\n";
-    for (size_t i = 0; i < loads.size(); ++i) {
-        const auto &w = loads[i];
-        json << "    {\"name\": \"" << w.name << "\""
-             << ", \"ips_on\": " << w.s.fused.median()
-             << ", \"ips_off\": " << w.s.plain.median()
-             << ", \"speedup\": " << w.fusedSpeedup()
-             << ", \"spread_on\": " << w.s.fused.spread()
-             << ", \"spread_off\": " << w.s.plain.spread()
-             << ", \"instructions\": " << w.s.fused.best.instructions
-             << ", \"icache_hits\": " << w.s.fused.best.icacheHits
-             << ", \"icache_misses\": "
-             << w.s.fused.best.icacheMisses
-             << ", \"icache_hit_rate\": " << w.s.fused.best.hitRate()
-             << ", \"fused_runs\": " << w.s.fused.best.fusedRuns
-             << ", \"fused_mean_run\": "
-             << w.s.fused.best.fusedMeanRun()
-             << "}" << (i + 1 < loads.size() ? "," : "") << "\n";
+    {
+        std::ofstream out("BENCH_interp.json");
+        JsonWriter json(out, 2);
+        json.beginObject()
+            .field("bench", "interp_fast_path")
+            .field("e7_speedup", e7_fused)
+            .field("pass_2x", e7_fused >= 2.0 && all_identical)
+            .field("median_of", reps)
+            .field("identical", all_identical)
+            .key("workloads")
+            .beginArray();
+        for (const auto &w : loads) {
+            const auto &f = w.s.fused;
+            const obs::Counters &c = f.best.ctrs;
+            json.beginObject()
+                .field("name", w.name)
+                .field("ips_on", f.median())
+                .field("ips_off", w.s.plain.median())
+                .field("speedup", w.fusedSpeedup())
+                .field("spread_on", f.spread())
+                .field("spread_off", w.s.plain.spread())
+                .field("instructions", c.instructions)
+                .field("icache_hits", c.icacheHits)
+                .field("icache_misses", c.icacheMisses)
+                .field("icache_hit_rate", c.icacheHitRate())
+                .field("fused_runs", c.fused.runs)
+                .field("fused_mean_run", c.fused.meanRunLength())
+                .end();
+        }
+        json.end().end();
     }
-    json << "  ]\n}\n";
     std::cout << "wrote BENCH_interp.json\n";
 
-    std::ofstream bjson("BENCH_blockc.json");
-    bjson << "{\n  \"bench\": \"block_compiler_tier\",\n"
-          << "  \"tier_usable\": " << (tier_usable ? "true" : "false")
-          << ",\n  \"median_of\": " << reps << ",\n"
-          << "  \"pass\": " << (pass ? "true" : "false") << ",\n"
-          << "  \"identical\": "
-          << (all_identical ? "true" : "false")
-          << ",\n  \"workloads\": [\n";
-    for (size_t i = 0; i < loads.size(); ++i) {
-        workloadJson(bjson, loads[i]);
-        bjson << (i + 1 < loads.size() ? "," : "") << "\n";
+    {
+        std::ofstream out("BENCH_blockc.json");
+        JsonWriter json(out, 2);
+        json.beginObject()
+            .field("bench", "block_compiler_tier")
+            .field("tier_usable", tier_usable)
+            .field("median_of", reps)
+            .field("pass", pass)
+            .field("identical", all_identical)
+            .key("workloads")
+            .beginArray();
+        for (const auto &w : loads)
+            workloadJson(json, w);
+        json.end().end();
     }
-    bjson << "  ]\n}\n";
     std::cout << "wrote BENCH_blockc.json\n";
 
     return pass ? 0 : 1;

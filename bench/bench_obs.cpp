@@ -28,8 +28,6 @@
  * for transparency.  Results go to stdout plus BENCH_obs.json.
  */
 
-#include <algorithm>
-#include <ctime>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -66,30 +64,6 @@ constexpr Variant kVariants[] = {
 constexpr size_t kNumVariants =
     sizeof(kVariants) / sizeof(kVariants[0]);
 
-double
-cpuSeconds()
-{
-    timespec ts{};
-    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) +
-           static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-std::string
-e7LoopSource(int iterations)
-{
-    std::string body;
-    for (int r = 0; r < 6; ++r)
-        body += "  ldc 5\n stl 1\n adc 3\n stl 2\n ldc 9\n"
-                "  adc 1\n stl 3\n ldlp 4\n stl 4\n";
-    return "start:\n"
-           "  ldc " + std::to_string(iterations) + "\n stl 30\n"
-           "outer:\n" + body +
-           "  ldl 30\n adc -1\n stl 30\n"
-           "  ldl 30\n cj done\n  j outer\n"
-           "done: stopp\n";
-}
-
 struct Measure
 {
     double ips = 0;
@@ -119,26 +93,6 @@ runOnce(const Variant &v)
     if (const obs::TimeSeries *ts = rig.cpu.timeSeries())
         m.tsPoints = ts->total();
     return m;
-}
-
-double
-medianOf(std::vector<double> s)
-{
-    std::sort(s.begin(), s.end());
-    const size_t n = s.size();
-    return n == 0 ? 0.0
-                  : n % 2 ? s[n / 2]
-                          : (s[n / 2 - 1] + s[n / 2]) / 2.0;
-}
-
-double
-spreadOf(const std::vector<double> &v)
-{
-    if (v.empty())
-        return 0.0;
-    const auto [lo, hi] = std::minmax_element(v.begin(), v.end());
-    const double med = medianOf(v);
-    return med ? (*hi - *lo) / med : 0.0;
 }
 
 } // namespace
@@ -211,27 +165,30 @@ main()
                               "variants\n")
               << (pass ? "all bars met\n" : "bars MISSED\n");
 
-    std::ofstream json("BENCH_obs.json");
-    json << "{\n  \"bench\": \"obs_overhead\",\n"
-         << "  \"workload\": \"e7_mips_loop\",\n"
-         << "  \"median_of\": " << reps << ",\n"
-         << "  \"pass\": " << (pass ? "true" : "false") << ",\n"
-         << "  \"identical\": " << (identical ? "true" : "false")
-         << ",\n  \"variants\": [\n";
-    for (size_t v = 0; v < kNumVariants; ++v) {
-        json << "    {\"name\": \"" << kVariants[v].name
-             << "\", \"ips_best\": " << best[v].ips
-             << ", \"ips_median\": " << medianOf(ips[v])
-             << ", \"ips_spread\": " << spreadOf(ips[v])
-             << ", \"overhead_best\": " << (v == 0 ? 0.0 : over[v])
-             << ", \"overhead_median\": " << (v == 0 ? 0.0 : med[v])
-             << ", \"bar\": " << kVariants[v].bar
-             << ", \"samples\": " << best[v].samples
-             << ", \"ts_points\": " << best[v].tsPoints
-             << ", \"instructions\": " << best[v].instructions << "}"
-             << (v + 1 < kNumVariants ? "," : "") << "\n";
-    }
-    json << "  ]\n}\n";
+    std::ofstream out("BENCH_obs.json");
+    JsonWriter json(out, 2);
+    json.beginObject()
+        .field("bench", "obs_overhead")
+        .field("workload", "e7_mips_loop")
+        .field("median_of", reps)
+        .field("pass", pass)
+        .field("identical", identical)
+        .key("variants")
+        .beginArray();
+    for (size_t v = 0; v < kNumVariants; ++v)
+        json.beginObject()
+            .field("name", kVariants[v].name)
+            .field("ips_best", best[v].ips)
+            .field("ips_median", medianOf(ips[v]))
+            .field("ips_spread", spreadOf(ips[v]))
+            .field("overhead_best", v == 0 ? 0.0 : over[v])
+            .field("overhead_median", v == 0 ? 0.0 : med[v])
+            .field("bar", kVariants[v].bar)
+            .field("samples", best[v].samples)
+            .field("ts_points", best[v].tsPoints)
+            .field("instructions", best[v].instructions)
+            .end();
+    json.end().end();
     std::cout << "wrote BENCH_obs.json\n";
     return pass ? 0 : 1;
 }

@@ -148,34 +148,38 @@ main()
         std::cout << "(single-core host: shard runs can only show "
                      "engine overhead, not speedup)\n";
 
-    std::ofstream json("BENCH_par_scaling.json");
-    json << "{\n  \"workload\": \"dbsearch_16x8\",\n"
-         << "  \"nodes\": " << gridW * gridH << ",\n"
-         << "  \"simulated_ns\": " << sliceNs << ",\n"
-         << "  \"hardware_concurrency\": " << cores << ",\n"
-         << "  \"identical\": " << (identical ? "true" : "false")
-         << ",\n  \"runs\": [\n";
-    for (size_t i = 0; i < results.size(); ++i) {
-        const auto &r = results[i];
-        json << "    {\"threads\": " << r.threads
-             << ", \"wall_ms\": " << r.wall_ms
-             << ", \"events\": " << r.events
-             << ", \"rounds\": " << r.rounds
-             << ", \"barriers\": " << r.barriers
-             << ", \"balance\": " << r.balance()
-             << ", \"speedup\": " << serial_ms / r.wall_ms
-             << ", \"shards\": [";
-        for (size_t s = 0; s < r.shards.size(); ++s) {
-            const auto &sh = r.shards[s];
-            json << (s ? ", " : "") << "{\"nodes\": " << sh.nodes
-                 << ", \"events\": " << sh.events
-                 << ", \"inbox_pushes\": " << sh.inboxPushes
-                 << ", \"stalls\": " << sh.stalls
-                 << ", \"epochs\": " << sh.epochs << "}";
-        }
-        json << "]}" << (i + 1 < results.size() ? "," : "") << "\n";
+    std::ofstream out("BENCH_par_scaling.json");
+    JsonWriter json(out, 2);
+    json.beginObject()
+        .field("workload", "dbsearch_16x8")
+        .field("nodes", gridW * gridH)
+        .field("simulated_ns", sliceNs)
+        .field("hardware_concurrency", cores)
+        .field("identical", identical)
+        .key("runs")
+        .beginArray();
+    for (const auto &r : results) {
+        json.beginObject()
+            .field("threads", r.threads)
+            .field("wall_ms", r.wall_ms)
+            .field("events", r.events)
+            .field("rounds", r.rounds)
+            .field("barriers", r.barriers)
+            .field("balance", r.balance())
+            .field("speedup", serial_ms / r.wall_ms)
+            .key("shards")
+            .beginArray();
+        for (const auto &sh : r.shards)
+            json.beginObject()
+                .field("nodes", sh.nodes)
+                .field("events", sh.events)
+                .field("inbox_pushes", sh.inboxPushes)
+                .field("stalls", sh.stalls)
+                .field("epochs", sh.epochs)
+                .end();
+        json.end().end();
     }
-    json << "  ]\n}\n";
+    json.end().end();
     std::cout << "wrote BENCH_par_scaling.json\n";
     return identical ? 0 : 1;
 }

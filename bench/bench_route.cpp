@@ -26,7 +26,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <ctime>
 #include <fstream>
 #include <map>
 #include <string>
@@ -42,15 +41,6 @@ using namespace transputer::bench;
 
 namespace
 {
-
-double
-cpuSeconds()
-{
-    timespec ts{};
-    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) +
-           static_cast<double>(ts.tv_nsec) * 1e-9;
-}
 
 constexpr Tick waveBudget = 30'000'000'000; ///< sim ns per wave
 
@@ -247,37 +237,38 @@ main()
               << "killed dest noticed): " << (pass ? "yes" : "NO")
               << "\n";
 
-    std::ofstream json("BENCH_route.json");
-    json << "{\n  \"bench\": \"route_fabric_robustness\",\n"
-         << "  \"topology\": \"torus8x8\",\n"
-         << "  \"pass\": " << (pass ? "true" : "false") << ",\n"
-         << "  \"clean_avg_hops\": " << cleanHops << ",\n"
-         << "  \"clean_wave_ms\": " << cleanWave << ",\n"
-         << "  \"scenarios\": [\n";
-    for (size_t i = 0; i < rs.size(); ++i) {
-        const auto &r = rs[i];
-        json << "    {\"name\": \"" << r.name << "\""
-             << ", \"live_terminals\": " << r.liveTerminals
-             << ", \"killed_terminals\": " << r.killedTerminals
-             << ", \"delivery_pct\": " << r.deliveryPct
-             << ", \"exact\": " << (r.exact ? "true" : "false")
-             << ", \"killed_resolved\": "
-             << (r.resolved ? "true" : "false")
-             << ", \"wave1_ms\": " << r.wave1Ms
-             << ", \"wave2_ms\": " << r.wave2Ms
-             << ", \"avg_hops\": " << r.avgHops
-             << ", \"hop_stretch\": " << r.hopStretch
-             << ", \"reroutes\": " << r.reroutes
-             << ", \"link_floods\": " << r.linkFloods
-             << ", \"retransmits\": " << r.retransmits
-             << ", \"undeliverable\": " << r.undeliverable
-             << ", \"congestion_drops\": " << r.congestionDrops
-             << ", \"hop_drops\": " << r.hopDrops
-             << ", \"ttl_drops\": " << r.ttlDrops
-             << ", \"host_secs\": " << r.hostSecs << "}"
-             << (i + 1 < rs.size() ? "," : "") << "\n";
-    }
-    json << "  ]\n}\n";
+    std::ofstream out("BENCH_route.json");
+    JsonWriter json(out, 2);
+    json.beginObject()
+        .field("bench", "route_fabric_robustness")
+        .field("topology", "torus8x8")
+        .field("pass", pass)
+        .field("clean_avg_hops", cleanHops)
+        .field("clean_wave_ms", cleanWave)
+        .key("scenarios")
+        .beginArray();
+    for (const auto &r : rs)
+        json.beginObject()
+            .field("name", r.name)
+            .field("live_terminals", r.liveTerminals)
+            .field("killed_terminals", r.killedTerminals)
+            .field("delivery_pct", r.deliveryPct)
+            .field("exact", r.exact)
+            .field("killed_resolved", r.resolved)
+            .field("wave1_ms", r.wave1Ms)
+            .field("wave2_ms", r.wave2Ms)
+            .field("avg_hops", r.avgHops)
+            .field("hop_stretch", r.hopStretch)
+            .field("reroutes", r.reroutes)
+            .field("link_floods", r.linkFloods)
+            .field("retransmits", r.retransmits)
+            .field("undeliverable", r.undeliverable)
+            .field("congestion_drops", r.congestionDrops)
+            .field("hop_drops", r.hopDrops)
+            .field("ttl_drops", r.ttlDrops)
+            .field("host_secs", r.hostSecs)
+            .end();
+    json.end().end();
     std::cout << "wrote BENCH_route.json\n";
     return pass ? 0 : 1;
 }

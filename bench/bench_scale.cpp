@@ -126,22 +126,23 @@ idleNodeBytes()
 }
 
 void
-emitRun(std::ofstream &json, const Result &r, unsigned cores,
-        bool last)
+emitRun(JsonWriter &json, const Result &r, unsigned cores)
 {
-    json << "    {\"label\": \"" << r.label << "\""
-         << ", \"nodes\": " << r.nodes() << ", \"width\": " << r.width
-         << ", \"height\": " << r.height
-         << ", \"build_s\": " << r.build_s
-         << ", \"run_s\": " << r.run_s
-         << ", \"nodes_per_sec_per_core\": "
-         << r.nodesPerSecPerCore(cores) << ", \"rounds\": " << r.rounds
-         << ", \"barriers\": " << r.barriers
-         << ", \"epochs\": " << r.epochs
-         << ", \"bytes_per_node_mean\": " << r.bytesMean
-         << ", \"bytes_per_node_max\": " << r.bytesMax
-         << ", \"ok\": " << (r.ok ? "true" : "false") << "}"
-         << (last ? "" : ",") << "\n";
+    json.beginObject()
+        .field("label", r.label)
+        .field("nodes", r.nodes())
+        .field("width", r.width)
+        .field("height", r.height)
+        .field("build_s", r.build_s)
+        .field("run_s", r.run_s)
+        .field("nodes_per_sec_per_core", r.nodesPerSecPerCore(cores))
+        .field("rounds", r.rounds)
+        .field("barriers", r.barriers)
+        .field("epochs", r.epochs)
+        .field("bytes_per_node_mean", r.bytesMean)
+        .field("bytes_per_node_max", r.bytesMax)
+        .field("ok", r.ok)
+        .end();
 }
 
 } // namespace
@@ -182,16 +183,18 @@ main(int argc, char **argv)
     for (const auto &r : scaling)
         ok = ok && r.ok;
 
-    std::ofstream json("BENCH_scale.json");
-    json << "{\n  \"workload\": \"flood_reduce\",\n"
-         << "  \"threads\": " << kThreads << ",\n"
-         << "  \"hardware_concurrency\": " << cores << ",\n"
-         << "  \"idle_bytes_per_node\": " << idle << ",\n"
-         << "  \"weak_scaling\": [\n";
-    for (size_t i = 0; i < scaling.size(); ++i)
-        emitRun(json, scaling[i], cores, i + 1 == scaling.size());
-    json << "  ],\n  \"pass\": " << (ok ? "true" : "false")
-         << "\n}\n";
+    std::ofstream out("BENCH_scale.json");
+    JsonWriter json(out, 2);
+    json.beginObject()
+        .field("workload", "flood_reduce")
+        .field("threads", kThreads)
+        .field("hardware_concurrency", cores)
+        .field("idle_bytes_per_node", idle)
+        .key("weak_scaling")
+        .beginArray();
+    for (const auto &r : scaling)
+        emitRun(json, r, cores);
+    json.end().field("pass", ok).end();
     std::cout << "wrote BENCH_scale.json\n";
     return ok ? 0 : 1;
 }

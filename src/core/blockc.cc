@@ -78,8 +78,7 @@ chainWorstCost(Kind k, const isa::Predecoded &d, int external_waits)
 Superblock *
 BlockCache::compile(mem::Memory &mem, const uint32_t *gens,
                     size_t icache_mask, const WordShape &s,
-                    int external_waits, Word entry,
-                    BlockBackend &backend)
+                    int external_waits, Word entry)
 {
     std::array<isa::Predecoded, kMaxSteps> dec;
     std::array<Word, kMaxSteps> tags;
@@ -256,7 +255,6 @@ BlockCache::compile(mem::Memory &mem, const uint32_t *gens,
     sb.valid = true;
     ++stats_.compiles;
     stats_.steps += n;
-    backend.prepare(sb);
     return &sb;
 }
 
@@ -1330,16 +1328,13 @@ Transputer::ensureBlockTier()
         // no live cache were carried in ctrs_.blockc; counters()
         // reads the live cache once one exists
         bcache_->restoreStats(ctrs_.blockc);
-        backend_ = std::make_unique<blockc::ThreadedBackend>();
     }
 }
 
 size_t
 Transputer::blockTierFootprint() const
 {
-    return bcache_ ? bcache_->footprintBytes() +
-                         sizeof(blockc::ThreadedBackend)
-                   : 0;
+    return bcache_ ? bcache_->footprintBytes() : 0;
 }
 
 int
@@ -1361,7 +1356,7 @@ Transputer::runBlocks(Tick bound, int budget)
         }
         sb = bc.compile(mem_, icache_.gensData(),
                         icache_.indexMask(), shape_,
-                        cfg_.externalWaits, iptr_, *backend_);
+                        cfg_.externalWaits, iptr_);
         if (!sb)
             return 0;
     }
@@ -1373,7 +1368,8 @@ Transputer::runBlocks(Tick bound, int budget)
     }
     ++bc.stats().enters;
     blockc::Deopt why = blockc::Deopt::End;
-    const int n = backend_->run(*this, *sb, bound, budget, why);
+    const int n =
+        blockc::ThreadedBackend::run(*this, *sb, bound, budget, why);
     ++bc.stats().deopts[static_cast<size_t>(why)];
     // flight ring only (not the trace ring), and only the abnormal
     // reasons: Bound/Budget/End are how every batched dispatch ends,
@@ -1406,7 +1402,7 @@ Transputer::wantsBlockEntry(Word iptr)
         }
         sb = bc.compile(mem_, icache_.gensData(),
                         icache_.indexMask(), shape_,
-                        cfg_.externalWaits, iptr, *backend_);
+                        cfg_.externalWaits, iptr);
     }
     return sb != nullptr;
 }
@@ -1423,7 +1419,7 @@ Transputer::setBlockCompileEnabled(bool on)
 {
     if (on && !blockBackendUsable())
         return;
-    // the cache and backend (~75 KiB) appear on first use, so merely
+    // the cache (~75 KiB) appears on first use, so merely
     // enabling the tier keeps an idle node small
     blockCompileEnabled_ = on;
 }

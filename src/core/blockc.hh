@@ -174,24 +174,10 @@ struct Superblock
     }
 };
 
-/**
- * Backend interface: turns a compiled Superblock into something
- * executable.  The threaded backend interprets the step array with
- * computed gotos; a native template-splat backend (ROADMAP's 10x
- * target) would bind `Superblock` to emitted host code in prepare()
- * and jump to it in run() -- the compiler, cache, deopt contract and
- * statistics are backend-independent.
- */
-class BlockBackend
+/** The computed-goto step interpreter that executes superblocks. */
+class ThreadedBackend
 {
   public:
-    virtual ~BlockBackend() = default;
-    virtual const char *name() const = 0;
-
-    /** Bind backend state to a freshly compiled block (e.g. emit
-     *  native code).  Called once per compile, before any run(). */
-    virtual void prepare(Superblock &sb) = 0;
-
     /**
      * Execute `sb` from its entry (the CPU's iptr must equal
      * sb.entry, state Running, oreg 0).  Retires at most `budget`
@@ -200,18 +186,8 @@ class BlockBackend
      * exit reason; on return all CPU state is spilled and consistent
      * at a chain boundary.
      */
-    virtual int run(Transputer &cpu, Superblock &sb, Tick bound,
-                    int budget, Deopt &why) = 0;
-};
-
-/** The computed-goto step interpreter (the default backend). */
-class ThreadedBackend final : public BlockBackend
-{
-  public:
-    const char *name() const override { return "threaded"; }
-    void prepare(Superblock &) override {}
-    int run(Transputer &cpu, Superblock &sb, Tick bound, int budget,
-            Deopt &why) override;
+    static int run(Transputer &cpu, Superblock &sb, Tick bound,
+                   int budget, Deopt &why);
 
   private:
     template <bool Primed>
@@ -278,8 +254,7 @@ class BlockCache
      */
     Superblock *compile(mem::Memory &mem, const uint32_t *gens,
                         size_t icache_mask, const WordShape &s,
-                        int external_waits, Word entry,
-                        BlockBackend &backend);
+                        int external_waits, Word entry);
 
     /** Reset an address's heat without compiling (promotion was
      *  declined): it must cross the threshold again before the next

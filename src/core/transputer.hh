@@ -46,7 +46,6 @@ namespace transputer::core
 
 namespace blockc
 {
-class BlockBackend;
 class BlockCache;
 class ThreadedBackend;
 struct Superblock;
@@ -546,7 +545,7 @@ class Transputer
     /** Promotion gate: compile only where the fused tier's observed
      *  mean run length says a superblock can win (blockc.cc). */
     bool blockPromotionAllowed() const;
-    /** Allocate the block cache and backend on first use (enabling
+    /** Allocate the block cache on first use (enabling
      *  the tier alone keeps an idle node small). */
     void ensureBlockTier();
     /** runFused's bail probe at jump back-edges: true when a block
@@ -559,7 +558,7 @@ class Transputer
      *  describe the pre-restore memory image) and overwrite the
      *  statistics with the snapshotted values. */
     void restoreBlockTier(const obs::BlockStats &s);
-    /** Host bytes of the block cache and backend, 0 while deferred. */
+    /** Host bytes of the block cache, 0 while deferred. */
     size_t blockTierFootprint() const;
     ///@}
     /** Off-chip fetch-wait charges for a whole predecoded chain. */
@@ -651,7 +650,6 @@ class Transputer
     bool predecodeEnabled_;
     // block-compiler tier (allocated only when enabled and usable)
     std::unique_ptr<blockc::BlockCache> bcache_;
-    std::unique_ptr<blockc::BlockBackend> backend_;
     bool blockCompileEnabled_ = false;
     sim::StaticEvent stepEvent_; ///< allocation-free CPU-step event
 

@@ -129,17 +129,14 @@ opLookup()
     return *map;
 }
 
-const std::unordered_map<uint32_t, std::string_view> &
-opNames()
-{
-    static const auto *map = [] {
-        auto *m = new std::unordered_map<uint32_t, std::string_view>;
-        for (const auto &e : opTable)
-            m->emplace(static_cast<uint32_t>(e.op), e.name);
-        return m;
-    }();
-    return *map;
-}
+/** Mnemonics indexed by operation code; empty for undefined codes.
+ *  Dense because execOp checks every indirect operation against it. */
+constexpr auto opByCode = [] {
+    std::array<std::string_view, static_cast<size_t>(Op::DUP) + 1> a{};
+    for (const auto &e : opTable)
+        a[static_cast<size_t>(e.op)] = e.name;
+    return a;
+}();
 
 } // namespace
 
@@ -152,8 +149,8 @@ fnName(Fn fn)
 std::string_view
 opName(Op op)
 {
-    auto it = opNames().find(static_cast<uint32_t>(op));
-    return it == opNames().end() ? std::string_view{"?op?"} : it->second;
+    const auto code = static_cast<uint32_t>(op);
+    return opDefined(code) ? opByCode[code] : std::string_view{"?op?"};
 }
 
 std::optional<Fn>
@@ -177,7 +174,7 @@ opFromName(std::string_view name)
 bool
 opDefined(uint32_t code)
 {
-    return opNames().count(code) != 0;
+    return code < opByCode.size() && !opByCode[code].empty();
 }
 
 } // namespace transputer::isa

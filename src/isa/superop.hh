@@ -7,8 +7,7 @@
  * chain bound to a specialized handler (the solo kinds), or a short
  * run of adjacent chains folded into a single handler (the fused
  * kinds).  Classification and fusion are pure functions over
- * isa::Predecoded values, so they are unit-testable without a core
- * and shared by any BlockBackend (threaded today, native later).
+ * isa::Predecoded values, so they are unit-testable without a core.
  *
  * Fusion rules are strictly peephole over the transputer's canonical
  * stack idioms (the compiler-emitted sequences the paper's examples

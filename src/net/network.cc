@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "base/format.hh"
+#include "base/json.hh"
 #include "isa/cycles.hh"
 #include "net/peripherals.hh"
 
@@ -45,21 +46,25 @@ Network::describe() const
 std::string
 Network::dumpMetrics() const
 {
-    std::ostringstream os;
-    os << "{\n  \"simulated_ns\": " << queue_.now() << ",\n"
-       << "  \"nodes\": " << nodes_.size() << ",\n"
-       << "  \"queue\": {\"dispatched\": " << queue_.dispatched()
-       << ", \"pending\": " << queue_.pending()
-       << ", \"high_water\": " << queue_.highWater() << "},\n"
-       << "  \"total\": " << obs::countersJson(counters()) << ",\n"
-       << "  \"per_node\": {\n";
+    JsonWriter w(2);
+    w.beginObject()
+        .field("simulated_ns", queue_.now())
+        .field("nodes", nodes_.size())
+        .key("queue")
+        .beginObject()
+        .field("dispatched", queue_.dispatched())
+        .field("pending", queue_.pending())
+        .field("high_water", queue_.highWater())
+        .end()
+        .key("total");
+    obs::countersJson(w, counters());
+    w.key("per_node").beginObject();
     for (size_t i = 0; i < nodes_.size(); ++i) {
-        os << "    \"" << nodes_[i]->name() << "\": "
-           << obs::countersJson(nodeCounters(static_cast<int>(i)))
-           << (i + 1 < nodes_.size() ? "," : "") << "\n";
+        w.key(nodes_[i]->name());
+        obs::countersJson(w, nodeCounters(static_cast<int>(i)));
     }
-    os << "  }\n}\n";
-    return os.str();
+    w.end().end();
+    return w.str();
 }
 
 link::LinkEngine &

@@ -5,6 +5,7 @@
 #include <map>
 #include <sstream>
 
+#include "base/json.hh"
 #include "net/network.hh"
 #include "obs/trace.hh"
 
@@ -15,61 +16,38 @@ namespace
 {
 
 /** Trace-event timestamps are microseconds; ticks are nanoseconds. */
-void
-putTs(std::ostream &os, const char *key, Tick ns)
+double
+us(Tick ns)
 {
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "\"%s\": %lld.%03lld", key,
-                  static_cast<long long>(ns / 1000),
-                  static_cast<long long>(ns % 1000));
-    os << buf;
+    return static_cast<double>(ns) / 1000.0;
 }
 
-void
-putWdesc(std::ostream &os, uint64_t wdesc)
+std::string
+wdescName(uint64_t wdesc)
 {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "W#%06llx%s",
                   static_cast<unsigned long long>(wdesc & ~1ull),
                   (wdesc & 1) ? " lo" : " hi");
-    os << buf;
-}
-
-/** Emit a JSON string body: quotes, backslashes, control characters
- *  and non-ASCII bytes escaped (byte-wise \\u00xx, so the output is
- *  pure ASCII whatever encoding the name arrived in). */
-void
-putEscaped(std::ostream &os, const std::string &s)
-{
-    for (const char ch : s) {
-        const auto b = static_cast<unsigned char>(ch);
-        if (b == '"' || b == '\\') {
-            os << '\\' << ch;
-        } else if (b < 0x20 || b >= 0x7f) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", b);
-            os << buf;
-        } else {
-            os << ch;
-        }
-    }
+    return buf;
 }
 
 /** An emitter for one node's track (pid 1, tid = node index + 1). */
 class Track
 {
   public:
-    Track(std::ostream &os, bool &first, int tid)
-        : os_(os), first_(first), tid_(tid)
-    {}
+    Track(JsonWriter &w, int tid) : w_(w), tid_(tid) {}
 
     void
     meta(const std::string &name)
     {
-        open("M", 0);
-        os_ << ", \"name\": \"thread_name\", \"args\": {\"name\": \"";
-        putEscaped(os_, name);
-        os_ << "\"}}";
+        open("M", 0)
+            .field("name", "thread_name")
+            .key("args")
+            .beginObject()
+            .field("name", name)
+            .end()
+            .end();
     }
 
     void
@@ -77,30 +55,31 @@ class Track
     {
         if (end < start)
             end = start;
-        open("X", start);
-        os_ << ", ";
-        putTs(os_, "dur", end - start);
-        os_ << ", \"name\": \"";
-        putWdesc(os_, wdesc);
-        os_ << "\", \"cat\": \"proc\"}";
+        open("X", start)
+            .field("dur", us(end - start))
+            .field("name", wdescName(wdesc))
+            .field("cat", "proc")
+            .end();
     }
 
     void
     instant(Tick when, const char *name)
     {
-        open("i", when);
-        os_ << ", \"s\": \"t\", \"name\": \"" << name
-            << "\", \"cat\": \"sched\"}";
+        open("i", when)
+            .field("s", "t")
+            .field("name", name)
+            .field("cat", "sched")
+            .end();
     }
 
     void
     flow(Tick when, bool start, uint64_t id, uint32_t link)
     {
-        open(start ? "s" : "f", when);
-        if (!start)
-            os_ << ", \"bp\": \"e\"";
-        os_ << ", \"id\": " << id << ", \"name\": \"link" << link
-            << "\", \"cat\": \"link\"}";
+        flowEnd(start, when)
+            .field("id", id)
+            .field("name", "link" + std::to_string(link))
+            .field("cat", "link")
+            .end();
     }
 
     /** A mid-path flow step: one routed hop through a switch, so a
@@ -109,35 +88,44 @@ class Track
     void
     flowStep(Tick when, uint64_t id, uint32_t port)
     {
-        open("t", when);
-        os_ << ", \"id\": " << id << ", \"name\": \"hop.port" << port
-            << "\", \"cat\": \"route\"}";
+        open("t", when)
+            .field("id", id)
+            .field("name", "hop.port" + std::to_string(port))
+            .field("cat", "route")
+            .end();
     }
 
     void
     routeFlow(Tick when, bool start, uint64_t id)
     {
-        open(start ? "s" : "f", when);
-        if (!start)
-            os_ << ", \"bp\": \"e\"";
-        os_ << ", \"id\": " << id
-            << ", \"name\": \"vchan\", \"cat\": \"route\"}";
+        flowEnd(start, when)
+            .field("id", id)
+            .field("name", "vchan")
+            .field("cat", "route")
+            .end();
     }
 
   private:
-    void
+    JsonWriter &
     open(const char *ph, Tick when)
     {
-        if (!first_)
-            os_ << ",\n";
-        first_ = false;
-        os_ << "  {\"ph\": \"" << ph << "\", \"pid\": 1, \"tid\": "
-            << tid_ << ", ";
-        putTs(os_, "ts", when);
+        return w_.beginObject()
+            .field("ph", ph)
+            .field("pid", 1)
+            .field("tid", tid_)
+            .field("ts", us(when));
     }
 
-    std::ostream &os_;
-    bool &first_;
+    /** A flow start ("s") or finish ("f", bound to the enclosing
+     *  slice's end). */
+    JsonWriter &
+    flowEnd(bool start, Tick when)
+    {
+        open(start ? "s" : "f", when);
+        return start ? w_ : w_.field("bp", "e");
+    }
+
+    JsonWriter &w_;
     int tid_;
 };
 
@@ -146,11 +134,11 @@ class Track
 void
 chromeTrace(net::Network &net, std::ostream &os, RingSource src)
 {
-    os << "{\"traceEvents\": [\n";
-    bool first = true;
+    JsonWriter w(os, 2);
+    w.beginObject().key("traceEvents").beginArray();
     for (size_t i = 0; i < net.size(); ++i) {
         auto &node = net.node(static_cast<int>(i));
-        Track track(os, first, static_cast<int>(i) + 1);
+        Track track(w, static_cast<int>(i) + 1);
         track.meta(node.name());
         const TraceBuffer *buf = src == RingSource::Flight
                                      ? node.flightBuffer()
@@ -183,16 +171,7 @@ chromeTrace(net::Network &net, std::ostream &os, RingSource src)
                     track.slice(sliceStart, r.when, sliceWdesc);
                 running = false;
                 if (r.ev == Ev::Halt)
-                    track.instant(r.when, "halt");
-                break;
-              case Ev::Timeslice:
-                track.instant(r.when, "timeslice");
-                break;
-              case Ev::Interrupt:
-                track.instant(r.when, "interrupt");
-                break;
-              case Ev::Rendezvous:
-                track.instant(r.when, "rendezvous");
+                    track.instant(r.when, evName(r.ev));
                 break;
               case Ev::LinkMsgOut: {
                 track.flow(r.when, true, r.b, r.c);
@@ -207,7 +186,7 @@ chromeTrace(net::Network &net, std::ostream &os, RingSource src)
                 track.flow(r.when, false, r.b, r.c);
                 break;
               case Ev::LinkAbortOut: {
-                track.instant(r.when, "link.abort.out");
+                track.instant(r.when, evName(r.ev));
                 const uint64_t id = (1ull << 63) |
                                     (static_cast<uint64_t>(r.c) << 40) |
                                     ++abortSeq;
@@ -215,24 +194,6 @@ chromeTrace(net::Network &net, std::ostream &os, RingSource src)
                 track.flow(r.when, true, id, r.c);
                 break;
               }
-              case Ev::LinkAbortIn:
-                track.instant(r.when, "link.abort.in");
-                break;
-              case Ev::FaultDrop:
-                track.instant(r.when, "fault.drop");
-                break;
-              case Ev::FaultCorrupt:
-                track.instant(r.when, "fault.corrupt");
-                break;
-              case Ev::FaultStall:
-                track.instant(r.when, "fault.stall");
-                break;
-              case Ev::FaultKill:
-                track.instant(r.when, "fault.kill");
-                break;
-              case Ev::Deopt:
-                track.instant(r.when, "deopt");
-                break;
               case Ev::RouteSend:
                 track.routeFlow(r.when, true, r.a);
                 break;
@@ -242,17 +203,20 @@ chromeTrace(net::Network &net, std::ostream &os, RingSource src)
               case Ev::RouteDeliver:
                 track.routeFlow(r.when, false, r.a);
                 break;
+              case Ev::Timeslice:
+              case Ev::Interrupt:
+              case Ev::Rendezvous:
+              case Ev::LinkAbortIn:
+              case Ev::FaultDrop:
+              case Ev::FaultCorrupt:
+              case Ev::FaultStall:
+              case Ev::FaultKill:
+              case Ev::Deopt:
               case Ev::RouteRetransmit:
-                track.instant(r.when, "route.retransmit");
-                break;
               case Ev::RouteReroute:
-                track.instant(r.when, "route.reroute");
-                break;
               case Ev::RouteDrop:
-                track.instant(r.when, "route.drop");
-                break;
               case Ev::RouteUndeliverable:
-                track.instant(r.when, "route.undeliverable");
+                track.instant(r.when, evName(r.ev));
                 break;
               default:
                 break; // Ready/WaitChan/WaitTimer/LinkByte/LinkAck:
@@ -265,7 +229,7 @@ chromeTrace(net::Network &net, std::ostream &os, RingSource src)
                         std::max(sliceStart, node.localTime()),
                         sliceWdesc);
     }
-    os << "\n], \"displayTimeUnit\": \"ns\"}\n";
+    w.end().field("displayTimeUnit", "ns").end();
 }
 
 std::string

@@ -5,13 +5,19 @@
  * A Counters value is a plain snapshot: Transputer::counters() fills
  * one from the live core, Network::counters() adds the link-engine
  * byte totals, and operator+= folds node snapshots into network
- * aggregates.  Every field except the `fused` block is *architectural*
- * -- a function of the executed instruction stream alone -- and is
- * therefore bit-identical between serial and shard-parallel runs
- * (tests/test_obs.cc).  The fused block counts host-side interpreter
- * behaviour (how many instructions the fused loop inlined per entry),
- * which legitimately depends on event batching and window horizons;
- * sameArchitectural() excludes it.
+ * aggregates.
+ *
+ * Every field is named once, in the kCounterRows table, with a class:
+ * `arch` rows are functions of the executed instruction stream alone
+ * and so bit-identical between serial and shard-parallel runs
+ * (tests/test_obs.cc); `cache` rows are the predecode cache's
+ * statistics, architectural too but re-counted after a snapshot
+ * restore; `host` rows (the fused and blockc blocks) measure the host
+ * interpreter tiers, which legitimately vary with event batching and
+ * window horizons.  The table drives operator+=, sameArchitectural()
+ * (arch and cache rows), countersJson() and the snapshot visitor
+ * (src/snap, whose ignoreCacheStats skips the cache and host rows); a
+ * static_assert fails the build when a field has no row.
  *
  * The counters themselves are always compiled in: each is a single
  * unconditional increment on an already-memory-touching path, which
@@ -22,10 +28,14 @@
 #ifndef TRANSPUTER_OBS_COUNTERS_HH
 #define TRANSPUTER_OBS_COUNTERS_HH
 
+#include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
+#include "base/json.hh"
 #include "base/types.hh"
 #include "isa/opcodes.hh"
 
@@ -51,17 +61,6 @@ struct FusedStats
         return runs ? static_cast<double>(instructions) /
                           static_cast<double>(runs)
                     : 0.0;
-    }
-
-    FusedStats &
-    operator+=(const FusedStats &o)
-    {
-        runs += o.runs;
-        instructions += o.instructions;
-        cycles += o.cycles;
-        for (size_t i = 0; i < lenLog2.size(); ++i)
-            lenLog2[i] += o.lenLog2[i];
-        return *this;
     }
 };
 
@@ -102,21 +101,6 @@ struct BlockStats
         return enters ? static_cast<double>(chains) /
                             static_cast<double>(enters)
                       : 0.0;
-    }
-
-    BlockStats &
-    operator+=(const BlockStats &o)
-    {
-        compiles += o.compiles;
-        steps += o.steps;
-        invalidations += o.invalidations;
-        enters += o.enters;
-        chains += o.chains;
-        instructions += o.instructions;
-        cycles += o.cycles;
-        for (size_t i = 0; i < deopts.size(); ++i)
-            deopts[i] += o.deopts[i];
-        return *this;
     }
 };
 
@@ -209,212 +193,210 @@ struct Counters
                  : 0.0;
     }
 
-    Counters &
-    operator+=(const Counters &o)
-    {
-        for (size_t i = 0; i < fn.size(); ++i)
-            fn[i] += o.fn[i];
-        for (size_t i = 0; i < op.size(); ++i)
-            op[i] += o.op[i];
-        instructions += o.instructions;
-        cycles += o.cycles;
-        icacheHits += o.icacheHits;
-        icacheMisses += o.icacheMisses;
-        icacheInvalidations += o.icacheInvalidations;
-        processStarts += o.processStarts;
-        timeslices += o.timeslices;
-        priorityInterrupts += o.priorityInterrupts;
-        chanInternalIn += o.chanInternalIn;
-        chanInternalOut += o.chanInternalOut;
-        chanLinkIn += o.chanLinkIn;
-        chanLinkOut += o.chanLinkOut;
-        timerWaits += o.timerWaits;
-        timerWakes += o.timerWakes;
-        idleTicks += o.idleTicks;
-        linkBytesOut += o.linkBytesOut;
-        linkBytesIn += o.linkBytesIn;
-        faultDataDrops += o.faultDataDrops;
-        faultAckDrops += o.faultAckDrops;
-        faultCorrupts += o.faultCorrupts;
-        faultJitterTicks += o.faultJitterTicks;
-        linkOutAborts += o.linkOutAborts;
-        linkInAborts += o.linkInAborts;
-        linkStaleAcks += o.linkStaleAcks;
-        linkOverrunDrops += o.linkOverrunDrops;
-        linkDeadDrops += o.linkDeadDrops;
-        routeForwards += o.routeForwards;
-        routeDelivered += o.routeDelivered;
-        routeHops += o.routeHops;
-        routeReroutes += o.routeReroutes;
-        routeRetransmits += o.routeRetransmits;
-        routeHopRetransmits += o.routeHopRetransmits;
-        routeHopDrops += o.routeHopDrops;
-        routeLinkFloods += o.routeLinkFloods;
-        routeDupDrops += o.routeDupDrops;
-        routeMalformed += o.routeMalformed;
-        routeCongestionDrops += o.routeCongestionDrops;
-        routeTtlDrops += o.routeTtlDrops;
-        routeUndeliverable += o.routeUndeliverable;
-        fused += o.fused;
-        blockc += o.blockc;
-        return *this;
-    }
+    /** Row-wise sum (every kCounterRows row, host rows too). */
+    Counters &operator+=(const Counters &o);
+};
+
+/** What a counter row measures, and so which comparisons see it. */
+enum class CounterClass : uint8_t
+{
+    arch,  ///< a function of the executed instruction stream alone
+    cache, ///< predecode-cache statistics: architectural between runs
+           ///< of one cache setting, re-counted after a restore
+    host,  ///< host interpreter tiers: varies with event batching
 };
 
 /**
- * Equality over the architectural fields only: everything except
- * `fused` and `blockc`, which depend on host-side batching (the
- * parallel engine's window horizon clips fused runs and superblock
- * executions differently than a serial run).
+ * One row of the counter table: a Counters field named once.  Every
+ * field is a run of `width` uint64_t-sized slots (a scalar, or an
+ * array); the table drives +=, sameArchitectural, countersJson and
+ * the snapshot visitor, so adding a counter is one row below.
+ */
+struct CounterRow
+{
+    const char *name;   ///< JSON key (snapshot field "ctrs.<name>")
+    CounterClass cls;
+    size_t offset;      ///< byte offset of the first slot in Counters
+    size_t width;       ///< slots: 1 for a scalar, else array length
+    /** Array rows: JSON object key of slot i (null: a JSON array). */
+    std::string_view (*label)(size_t) = nullptr;
+    bool sparse = false; ///< JSON omits the zero slots
+};
+
+#define TRANSPUTER_COUNTER(key, member, cls, ...)                          \
+    CounterRow                                                             \
+    {                                                                      \
+        key, CounterClass::cls, offsetof(Counters, member),                \
+            sizeof(Counters::member) / sizeof(uint64_t), __VA_ARGS__       \
+    }
+
+/** The counter table, in Counters declaration order. */
+inline constexpr CounterRow kCounterRows[] = {
+    TRANSPUTER_COUNTER("fn", fn, arch,
+                       [](size_t i) { return isa::fnName(isa::Fn(i)); },
+                       true),
+    TRANSPUTER_COUNTER("op", op, arch,
+                       [](size_t i) { return isa::opName(isa::Op(i)); },
+                       true),
+    TRANSPUTER_COUNTER("instructions", instructions, arch),
+    TRANSPUTER_COUNTER("cycles", cycles, arch),
+    TRANSPUTER_COUNTER("icache_hits", icacheHits, cache),
+    TRANSPUTER_COUNTER("icache_misses", icacheMisses, cache),
+    TRANSPUTER_COUNTER("icache_invalidations", icacheInvalidations, cache),
+    TRANSPUTER_COUNTER("process_starts", processStarts, arch),
+    TRANSPUTER_COUNTER("timeslices", timeslices, arch),
+    TRANSPUTER_COUNTER("priority_interrupts", priorityInterrupts, arch),
+    TRANSPUTER_COUNTER("chan_internal_in", chanInternalIn, arch),
+    TRANSPUTER_COUNTER("chan_internal_out", chanInternalOut, arch),
+    TRANSPUTER_COUNTER("chan_link_in", chanLinkIn, arch),
+    TRANSPUTER_COUNTER("chan_link_out", chanLinkOut, arch),
+    TRANSPUTER_COUNTER("timer_waits", timerWaits, arch),
+    TRANSPUTER_COUNTER("timer_wakes", timerWakes, arch),
+    TRANSPUTER_COUNTER("idle_ns", idleTicks, arch),
+    TRANSPUTER_COUNTER("link_bytes_out", linkBytesOut, arch),
+    TRANSPUTER_COUNTER("link_bytes_in", linkBytesIn, arch),
+    TRANSPUTER_COUNTER("fault_data_drops", faultDataDrops, arch),
+    TRANSPUTER_COUNTER("fault_ack_drops", faultAckDrops, arch),
+    TRANSPUTER_COUNTER("fault_corrupts", faultCorrupts, arch),
+    TRANSPUTER_COUNTER("fault_jitter_ns", faultJitterTicks, arch),
+    TRANSPUTER_COUNTER("link_out_aborts", linkOutAborts, arch),
+    TRANSPUTER_COUNTER("link_in_aborts", linkInAborts, arch),
+    TRANSPUTER_COUNTER("link_stale_acks", linkStaleAcks, arch),
+    TRANSPUTER_COUNTER("link_overrun_drops", linkOverrunDrops, arch),
+    TRANSPUTER_COUNTER("link_dead_drops", linkDeadDrops, arch),
+    TRANSPUTER_COUNTER("route_forwards", routeForwards, arch),
+    TRANSPUTER_COUNTER("route_delivered", routeDelivered, arch),
+    TRANSPUTER_COUNTER("route_hops", routeHops, arch),
+    TRANSPUTER_COUNTER("route_reroutes", routeReroutes, arch),
+    TRANSPUTER_COUNTER("route_retransmits", routeRetransmits, arch),
+    TRANSPUTER_COUNTER("route_hop_retransmits", routeHopRetransmits, arch),
+    TRANSPUTER_COUNTER("route_hop_drops", routeHopDrops, arch),
+    TRANSPUTER_COUNTER("route_link_floods", routeLinkFloods, arch),
+    TRANSPUTER_COUNTER("route_dup_drops", routeDupDrops, arch),
+    TRANSPUTER_COUNTER("route_malformed", routeMalformed, arch),
+    TRANSPUTER_COUNTER("route_congestion_drops", routeCongestionDrops,
+                       arch),
+    TRANSPUTER_COUNTER("route_ttl_drops", routeTtlDrops, arch),
+    TRANSPUTER_COUNTER("route_undeliverable", routeUndeliverable, arch),
+    TRANSPUTER_COUNTER("fused_runs", fused.runs, host),
+    TRANSPUTER_COUNTER("fused_instructions", fused.instructions, host),
+    TRANSPUTER_COUNTER("fused_cycles", fused.cycles, host),
+    TRANSPUTER_COUNTER("fused_len_log2", fused.lenLog2, host),
+    TRANSPUTER_COUNTER("blockc_compiles", blockc.compiles, host),
+    TRANSPUTER_COUNTER("blockc_steps", blockc.steps, host),
+    TRANSPUTER_COUNTER("blockc_invalidations", blockc.invalidations, host),
+    TRANSPUTER_COUNTER("blockc_enters", blockc.enters, host),
+    TRANSPUTER_COUNTER("blockc_chains", blockc.chains, host),
+    TRANSPUTER_COUNTER("blockc_instructions", blockc.instructions, host),
+    TRANSPUTER_COUNTER("blockc_cycles", blockc.cycles, host),
+    TRANSPUTER_COUNTER("blockc_deopts", blockc.deopts, host,
+                       [](size_t i) {
+                           return std::string_view(kBlockDeoptNames[i]);
+                       }),
+};
+
+#undef TRANSPUTER_COUNTER
+
+/** True when the rows cover Counters exactly: each starts where the
+ *  previous one ended and the last ends at sizeof(Counters). */
+constexpr bool
+counterRowsTileCounters()
+{
+    size_t at = 0;
+    for (const CounterRow &r : kCounterRows) {
+        if (r.offset != at)
+            return false;
+        at += r.width * sizeof(uint64_t);
+    }
+    return at == sizeof(Counters);
+}
+
+static_assert(counterRowsTileCounters(),
+              "every obs::Counters field needs exactly one kCounterRows "
+              "row, in declaration order");
+
+/** The slots of one row. */
+inline uint64_t *
+counterSlots(Counters &c, const CounterRow &r)
+{
+    return reinterpret_cast<uint64_t *>(reinterpret_cast<char *>(&c) +
+                                        r.offset);
+}
+
+inline const uint64_t *
+counterSlots(const Counters &c, const CounterRow &r)
+{
+    return reinterpret_cast<const uint64_t *>(
+        reinterpret_cast<const char *>(&c) + r.offset);
+}
+
+inline Counters &
+Counters::operator+=(const Counters &o)
+{
+    for (const CounterRow &r : kCounterRows) {
+        uint64_t *dst = counterSlots(*this, r);
+        const uint64_t *src = counterSlots(o, r);
+        for (size_t i = 0; i < r.width; ++i)
+            dst[i] += src[i];
+    }
+    return *this;
+}
+
+/**
+ * Equality over the arch and cache rows: everything except the host
+ * rows (`fused` and `blockc`), which depend on host-side batching
+ * (the parallel engine's window horizon clips fused runs and
+ * superblock executions differently than a serial run).
  */
 inline bool
 sameArchitectural(const Counters &a, const Counters &b)
 {
-    return a.fn == b.fn && a.op == b.op &&
-           a.instructions == b.instructions && a.cycles == b.cycles &&
-           a.icacheHits == b.icacheHits &&
-           a.icacheMisses == b.icacheMisses &&
-           a.icacheInvalidations == b.icacheInvalidations &&
-           a.processStarts == b.processStarts &&
-           a.timeslices == b.timeslices &&
-           a.priorityInterrupts == b.priorityInterrupts &&
-           a.chanInternalIn == b.chanInternalIn &&
-           a.chanInternalOut == b.chanInternalOut &&
-           a.chanLinkIn == b.chanLinkIn &&
-           a.chanLinkOut == b.chanLinkOut &&
-           a.timerWaits == b.timerWaits &&
-           a.timerWakes == b.timerWakes &&
-           a.idleTicks == b.idleTicks &&
-           a.linkBytesOut == b.linkBytesOut &&
-           a.linkBytesIn == b.linkBytesIn &&
-           a.faultDataDrops == b.faultDataDrops &&
-           a.faultAckDrops == b.faultAckDrops &&
-           a.faultCorrupts == b.faultCorrupts &&
-           a.faultJitterTicks == b.faultJitterTicks &&
-           a.linkOutAborts == b.linkOutAborts &&
-           a.linkInAborts == b.linkInAborts &&
-           a.linkStaleAcks == b.linkStaleAcks &&
-           a.linkOverrunDrops == b.linkOverrunDrops &&
-           a.linkDeadDrops == b.linkDeadDrops &&
-           a.routeForwards == b.routeForwards &&
-           a.routeDelivered == b.routeDelivered &&
-           a.routeHops == b.routeHops &&
-           a.routeReroutes == b.routeReroutes &&
-           a.routeRetransmits == b.routeRetransmits &&
-           a.routeHopRetransmits == b.routeHopRetransmits &&
-           a.routeHopDrops == b.routeHopDrops &&
-           a.routeLinkFloods == b.routeLinkFloods &&
-           a.routeDupDrops == b.routeDupDrops &&
-           a.routeMalformed == b.routeMalformed &&
-           a.routeCongestionDrops == b.routeCongestionDrops &&
-           a.routeTtlDrops == b.routeTtlDrops &&
-           a.routeUndeliverable == b.routeUndeliverable;
+    for (const CounterRow &r : kCounterRows) {
+        const uint64_t *x = counterSlots(a, r);
+        if (r.cls != CounterClass::host &&
+            !std::equal(x, x + r.width, counterSlots(b, r)))
+            return false;
+    }
+    return true;
 }
 
 /**
- * Render a Counters snapshot as one JSON object.  The per-function
- * and per-operation histograms emit only non-zero entries, keyed by
- * mnemonic, so dumps stay readable.
+ * Write a Counters snapshot as one JSON object: a member per row
+ * (the labelled histograms as objects, fn/op with only their non-zero
+ * entries), then the derived icache_hit_rate and fused_mean_run.
  */
+inline void
+countersJson(JsonWriter &w, const Counters &c)
+{
+    w.beginObject();
+    for (const CounterRow &r : kCounterRows) {
+        const uint64_t *v = counterSlots(c, r);
+        w.key(r.name);
+        if (r.width == 1) {
+            w.value(v[0]);
+            continue;
+        }
+        r.label ? w.beginObject() : w.beginArray();
+        for (size_t i = 0; i < r.width; ++i) {
+            if (!r.label)
+                w.value(v[i]);
+            else if (v[i] || !r.sparse)
+                w.field(r.label(i), v[i]);
+        }
+        w.end();
+    }
+    w.field("icache_hit_rate", c.icacheHitRate());
+    w.field("fused_mean_run", c.fused.meanRunLength());
+    w.end();
+}
+
+/** countersJson as a one-line string. */
 inline std::string
 countersJson(const Counters &c)
 {
-    std::string out = "{";
-    const auto num = [&](const char *key, uint64_t v, bool comma = true) {
-        out += '"';
-        out += key;
-        out += "\": ";
-        out += std::to_string(v);
-        if (comma)
-            out += ", ";
-    };
-    num("instructions", c.instructions);
-    num("cycles", c.cycles);
-    num("icache_hits", c.icacheHits);
-    num("icache_misses", c.icacheMisses);
-    num("icache_invalidations", c.icacheInvalidations);
-    out += "\"icache_hit_rate\": " +
-           std::to_string(c.icacheHitRate()) + ", ";
-    num("fused_runs", c.fused.runs);
-    num("fused_instructions", c.fused.instructions);
-    num("fused_cycles", c.fused.cycles);
-    out += "\"fused_mean_run\": " +
-           std::to_string(c.fused.meanRunLength()) + ", ";
-    num("blockc_compiles", c.blockc.compiles);
-    num("blockc_invalidations", c.blockc.invalidations);
-    num("blockc_enters", c.blockc.enters);
-    num("blockc_chains", c.blockc.chains);
-    num("blockc_instructions", c.blockc.instructions);
-    num("blockc_cycles", c.blockc.cycles);
-    out += "\"blockc_deopts\": {";
-    for (size_t i = 0; i < kBlockDeopts; ++i) {
-        if (i)
-            out += ", ";
-        out += '"';
-        out += kBlockDeoptNames[i];
-        out += "\": " + std::to_string(c.blockc.deopts[i]);
-    }
-    out += "}, ";
-    num("process_starts", c.processStarts);
-    num("timeslices", c.timeslices);
-    num("priority_interrupts", c.priorityInterrupts);
-    num("chan_internal_in", c.chanInternalIn);
-    num("chan_internal_out", c.chanInternalOut);
-    num("chan_link_in", c.chanLinkIn);
-    num("chan_link_out", c.chanLinkOut);
-    num("timer_waits", c.timerWaits);
-    num("timer_wakes", c.timerWakes);
-    num("idle_ns", static_cast<uint64_t>(c.idleTicks));
-    num("link_bytes_out", c.linkBytesOut);
-    num("link_bytes_in", c.linkBytesIn);
-    num("fault_data_drops", c.faultDataDrops);
-    num("fault_ack_drops", c.faultAckDrops);
-    num("fault_corrupts", c.faultCorrupts);
-    num("fault_jitter_ns", static_cast<uint64_t>(c.faultJitterTicks));
-    num("link_out_aborts", c.linkOutAborts);
-    num("link_in_aborts", c.linkInAborts);
-    num("link_stale_acks", c.linkStaleAcks);
-    num("link_overrun_drops", c.linkOverrunDrops);
-    num("link_dead_drops", c.linkDeadDrops);
-    num("route_forwards", c.routeForwards);
-    num("route_delivered", c.routeDelivered);
-    num("route_hops", c.routeHops);
-    num("route_reroutes", c.routeReroutes);
-    num("route_retransmits", c.routeRetransmits);
-    num("route_hop_retransmits", c.routeHopRetransmits);
-    num("route_hop_drops", c.routeHopDrops);
-    num("route_link_floods", c.routeLinkFloods);
-    num("route_dup_drops", c.routeDupDrops);
-    num("route_malformed", c.routeMalformed);
-    num("route_congestion_drops", c.routeCongestionDrops);
-    num("route_ttl_drops", c.routeTtlDrops);
-    num("route_undeliverable", c.routeUndeliverable);
-    out += "\"fn\": {";
-    bool first = true;
-    for (size_t i = 0; i < c.fn.size(); ++i) {
-        if (!c.fn[i])
-            continue;
-        if (!first)
-            out += ", ";
-        first = false;
-        out += '"';
-        out += isa::fnName(static_cast<isa::Fn>(i));
-        out += "\": " + std::to_string(c.fn[i]);
-    }
-    out += "}, \"op\": {";
-    first = true;
-    for (size_t i = 0; i < c.op.size(); ++i) {
-        if (!c.op[i])
-            continue;
-        if (!first)
-            out += ", ";
-        first = false;
-        out += '"';
-        out += isa::opName(static_cast<isa::Op>(i));
-        out += "\": " + std::to_string(c.op[i]);
-    }
-    out += "}}";
-    return out;
+    JsonWriter w;
+    countersJson(w, c);
+    return w.str();
 }
 
 } // namespace transputer::obs

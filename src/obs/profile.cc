@@ -7,6 +7,7 @@
 #include <sstream>
 #include <vector>
 
+#include "base/json.hh"
 #include "net/network.hh"
 #include "obs/timeseries.hh"
 
@@ -37,14 +38,6 @@ wdescFrame(uint64_t wdesc)
     return buf;
 }
 
-std::string
-dbl(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.6f", v);
-    return buf;
-}
-
 } // namespace
 
 std::string
@@ -68,44 +61,38 @@ foldedProfile(net::Network &net)
 std::string
 profileJson(net::Network &net, bool hostTiers)
 {
-    std::ostringstream os;
-    os << "{\"nodes\": [";
-    bool firstNode = true;
+    JsonWriter w(4);
+    w.beginObject().key("nodes").beginArray();
     for (size_t i = 0; i < net.size(); ++i) {
         auto &node = net.node(static_cast<int>(i));
         const Profiler *prof = node.profiler();
-        if (!firstNode)
-            os << ",";
-        firstNode = false;
-        os << "\n {\"name\": \"" << node.name() << "\"";
-        if (!prof) {
-            os << ", \"interval_cycles\": 0, \"total_samples\": 0,"
-               << " \"cells\": []}";
-            continue;
+        w.beginObject()
+            .field("name", node.name())
+            .field("interval_cycles", prof ? prof->interval() : 0)
+            .field("total_samples", prof ? prof->totalSamples() : 0)
+            .key("cells")
+            .beginArray();
+        if (prof) {
+            for (const auto &kv : prof->cells()) {
+                w.beginObject()
+                    .field("wdesc", hex(kv.first.first))
+                    .field("pri", kv.first.first & 1)
+                    .field("iptr", hex(kv.first.second))
+                    .field("samples", kv.second.samples);
+                if (hostTiers)
+                    w.key("tier")
+                        .beginObject()
+                        .field("plain", kv.second.tier[kTierPlain])
+                        .field("fused", kv.second.tier[kTierFused])
+                        .field("blockc", kv.second.tier[kTierBlock])
+                        .end();
+                w.end();
+            }
         }
-        os << ", \"interval_cycles\": " << prof->interval()
-           << ", \"total_samples\": " << prof->totalSamples()
-           << ", \"cells\": [";
-        bool firstCell = true;
-        for (const auto &kv : prof->cells()) {
-            if (!firstCell)
-                os << ",";
-            firstCell = false;
-            os << "\n  {\"wdesc\": \"" << hex(kv.first.first)
-               << "\", \"pri\": " << (kv.first.first & 1)
-               << ", \"iptr\": \"" << hex(kv.first.second)
-               << "\", \"samples\": " << kv.second.samples;
-            if (hostTiers)
-                os << ", \"tier\": {\"plain\": "
-                   << kv.second.tier[kTierPlain] << ", \"fused\": "
-                   << kv.second.tier[kTierFused] << ", \"blockc\": "
-                   << kv.second.tier[kTierBlock] << "}";
-            os << "}";
-        }
-        os << (firstCell ? "]" : "\n ]") << "}";
+        w.end().end();
     }
-    os << "\n]}\n";
-    return os.str();
+    w.end();
+    return w.str();
 }
 
 std::string
@@ -124,67 +111,55 @@ timeseriesJson(net::Network &net, bool archOnly)
         pts.push_back(node.tsCapture(node.localTime()));
     }
 
-    std::ostringstream os;
-    os << "{\"nodes\": [";
-    bool firstNode = true;
+    const auto rate = [](uint64_t num, uint64_t den) {
+        return den ? static_cast<double>(num) / static_cast<double>(den)
+                   : 0.0;
+    };
+    JsonWriter w(4);
+    w.beginObject().key("nodes").beginArray();
     for (size_t i = 0; i < net.size(); ++i) {
         auto &node = net.node(static_cast<int>(i));
         const TimeSeries *ts = node.timeSeries();
-        if (!firstNode)
-            os << ",";
-        firstNode = false;
-        os << "\n {\"name\": \"" << node.name() << "\"";
-        if (!ts) {
-            os << ", \"interval_ns\": 0, \"dropped\": 0,"
-               << " \"points\": []}";
-            continue;
-        }
-        os << ", \"interval_ns\": " << ts->interval()
-           << ", \"dropped\": " << ts->dropped() << ", \"points\": [";
+        w.beginObject()
+            .field("name", node.name())
+            .field("interval_ns", ts ? ts->interval() : 0)
+            .field("dropped", ts ? ts->dropped() : 0)
+            .key("points")
+            .beginArray();
         TsPoint prev; // zero: the first delta is since boot
-        bool firstPt = true;
         for (const TsPoint &p : series[i]) {
-            if (!firstPt)
-                os << ",";
-            firstPt = false;
             const uint64_t dh = p.icacheHits - prev.icacheHits;
             const uint64_t dm = p.icacheMisses - prev.icacheMisses;
-            os << "\n  {\"tick\": " << p.tick
-               << ", \"d_instructions\": "
-               << (p.instructions - prev.instructions)
-               << ", \"d_cycles\": " << (p.cycles - prev.cycles)
-               << ", \"d_icache_hits\": " << dh
-               << ", \"d_icache_misses\": " << dm
-               << ", \"icache_hit_rate\": "
-               << dbl(dh + dm ? static_cast<double>(dh) /
-                                    static_cast<double>(dh + dm)
-                              : 0.0)
-               << ", \"d_link_bytes_out\": "
-               << (p.linkBytesOut - prev.linkBytesOut)
-               << ", \"d_link_bytes_in\": "
-               << (p.linkBytesIn - prev.linkBytesIn)
-               << ", \"d_process_starts\": "
-               << (p.processStarts - prev.processStarts)
-               << ", \"d_timeslices\": "
-               << (p.timeslices - prev.timeslices)
-               << ", \"d_idle_ns\": " << (p.idleTicks - prev.idleTicks)
-               << ", \"q_lo\": " << p.qlo << ", \"q_hi\": " << p.qhi;
+            w.beginObject()
+                .field("tick", p.tick)
+                .field("d_instructions",
+                       p.instructions - prev.instructions)
+                .field("d_cycles", p.cycles - prev.cycles)
+                .field("d_icache_hits", dh)
+                .field("d_icache_misses", dm)
+                .field("icache_hit_rate", rate(dh, dh + dm))
+                .field("d_link_bytes_out",
+                       p.linkBytesOut - prev.linkBytesOut)
+                .field("d_link_bytes_in", p.linkBytesIn - prev.linkBytesIn)
+                .field("d_process_starts",
+                       p.processStarts - prev.processStarts)
+                .field("d_timeslices", p.timeslices - prev.timeslices)
+                .field("d_idle_ns", p.idleTicks - prev.idleTicks)
+                .field("q_lo", p.qlo)
+                .field("q_hi", p.qhi);
             if (!archOnly) {
                 const uint64_t dc = p.blockChains - prev.blockChains;
                 const uint64_t dd = p.blockDeopts - prev.blockDeopts;
-                os << ", \"d_block_chains\": " << dc
-                   << ", \"d_block_deopts\": " << dd
-                   << ", \"deopt_rate\": "
-                   << dbl(dc ? static_cast<double>(dd) /
-                                   static_cast<double>(dc)
-                             : 0.0);
+                w.field("d_block_chains", dc)
+                    .field("d_block_deopts", dd)
+                    .field("deopt_rate", rate(dd, dc));
             }
-            os << "}";
+            w.end();
+            prev = p;
         }
-        os << (firstPt ? "]" : "\n ]") << "}";
-        (void)node;
+        w.end().end();
     }
-    os << "\n],\n";
+    w.end();
 
     // shard-imbalance series: at every nominal tick all nodes have a
     // point for, max/mean of the per-node cycle deltas over the
@@ -213,8 +188,7 @@ timeseriesJson(net::Network &net, bool archOnly)
             common = inter;
         }
     }
-    os << "\"imbalance\": [";
-    bool firstIm = true;
+    w.key("imbalance").beginArray();
     if (haveAll && common.size() >= 2) {
         Tick prevTick = *common.begin();
         for (auto it = std::next(common.begin()); it != common.end();
@@ -228,18 +202,17 @@ timeseriesJson(net::Network &net, bool archOnly)
             }
             const double mean = static_cast<double>(sum) /
                                 static_cast<double>(net.size());
-            if (!firstIm)
-                os << ",";
-            firstIm = false;
-            os << "\n {\"tick\": " << *it << ", \"cycle_imbalance\": "
-               << dbl(mean > 0.0 ? static_cast<double>(maxd) / mean
-                                 : 0.0)
-               << "}";
+            w.beginObject()
+                .field("tick", *it)
+                .field("cycle_imbalance",
+                       mean > 0.0 ? static_cast<double>(maxd) / mean
+                                  : 0.0)
+                .end();
             prevTick = *it;
         }
     }
-    os << (firstIm ? "]" : "\n]") << "}\n";
-    return os.str();
+    w.end().end();
+    return w.str();
 }
 
 } // namespace transputer::obs

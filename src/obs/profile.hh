@@ -118,8 +118,9 @@ std::string profileJson(net::Network &net, bool hostTiers = false);
 
 /**
  * The per-node time-series as JSON.  Each node's points carry the
- * nominal tick, the cumulative architectural counters, and derived
- * rates (icache hit rate over the delta); a final synthetic point is
+ * nominal tick, the architectural counters' deltas since the previous
+ * point (zero origin), and derived rates (icache hit rate over the
+ * delta); a final synthetic point is
  * captured live at export so the deltas sum exactly to the final
  * counters.  archOnly omits the host-side block-tier fields and the
  * derived deopt rate; the aggregate section adds per-tick shard

@@ -44,10 +44,11 @@ class SnapError : public SimFatal
 /** @name Format constants */
 ///@{
 constexpr uint32_t magic = 0x504E5354;  ///< "TSNP" little-endian
-/** v2: counters gained the fused-cycle and block-compiler tier
- *  statistics (ctrs.fusedCycles, ctrs.blockc*).  Snapshots are
- *  exact-version: a v1 reader rejects v2 images and vice versa. */
-constexpr uint32_t formatVersion = 3;
+/** v4: the counters are written row by row from obs::kCounterRows,
+ *  which adds the route rows and writes every slot as a u64.
+ *  Snapshots are exact-version: a v3 reader rejects v4 images and
+ *  vice versa. */
+constexpr uint32_t formatVersion = 4;
 constexpr size_t headerBytes = 24;
 ///@}
 

@@ -36,6 +36,12 @@ struct WriteV
     }
 
     void s(const char *, const std::string &v) { w.str(v); }
+
+    void
+    counter(const obs::CounterRow &, size_t, uint64_t v)
+    {
+        w.u64(v);
+    }
 };
 
 struct ReadV
@@ -67,13 +73,21 @@ struct ReadV
     }
 
     void s(const char *, std::string &out) { out = r.str(); }
+
+    void
+    counter(const obs::CounterRow &, size_t, uint64_t &out)
+    {
+        out = r.u64();
+    }
 };
 
-/** Flattens fields into (dotted path, rendered value) rows. */
+/** Flattens fields into (dotted path, rendered value) rows; with
+ *  archOnly it leaves out the counter table's cache and host rows. */
 struct RecordV
 {
     std::vector<std::pair<std::string, std::string>> &out;
     std::string pre;
+    bool archOnly = false;
 
     template <typename T>
     void
@@ -93,58 +107,29 @@ struct RecordV
     {
         out.emplace_back(pre + name, v);
     }
+
+    void
+    counter(const obs::CounterRow &row, size_t i, uint64_t v)
+    {
+        if (archOnly && row.cls != obs::CounterClass::arch)
+            return;
+        std::string path = pre + "ctrs." + row.name;
+        if (row.width > 1)
+            path += "[" + std::to_string(i) + "]";
+        out.emplace_back(std::move(path), std::to_string(v));
+    }
 };
 
+/** One field per counter-table slot (obs::kCounterRows). */
 template <typename V, typename C>
 void
 visitCounters(V &v, C &c)
 {
-    for (size_t i = 0; i < c.fn.size(); ++i)
-        v.f(("ctrs.fn" + std::to_string(i)).c_str(), c.fn[i]);
-    for (size_t i = 0; i < c.op.size(); ++i)
-        v.f(("ctrs.op" + std::to_string(i)).c_str(), c.op[i]);
-    v.f("ctrs.instructions", c.instructions);
-    v.f("ctrs.cycles", c.cycles);
-    v.f("ctrs.icacheHits", c.icacheHits);
-    v.f("ctrs.icacheMisses", c.icacheMisses);
-    v.f("ctrs.icacheInvalidations", c.icacheInvalidations);
-    v.f("ctrs.processStarts", c.processStarts);
-    v.f("ctrs.timeslices", c.timeslices);
-    v.f("ctrs.priorityInterrupts", c.priorityInterrupts);
-    v.f("ctrs.chanInternalIn", c.chanInternalIn);
-    v.f("ctrs.chanInternalOut", c.chanInternalOut);
-    v.f("ctrs.chanLinkIn", c.chanLinkIn);
-    v.f("ctrs.chanLinkOut", c.chanLinkOut);
-    v.f("ctrs.timerWaits", c.timerWaits);
-    v.f("ctrs.timerWakes", c.timerWakes);
-    v.f("ctrs.idleTicks", c.idleTicks);
-    v.f("ctrs.linkBytesOut", c.linkBytesOut);
-    v.f("ctrs.linkBytesIn", c.linkBytesIn);
-    v.f("ctrs.faultDataDrops", c.faultDataDrops);
-    v.f("ctrs.faultAckDrops", c.faultAckDrops);
-    v.f("ctrs.faultCorrupts", c.faultCorrupts);
-    v.f("ctrs.faultJitterTicks", c.faultJitterTicks);
-    v.f("ctrs.linkOutAborts", c.linkOutAborts);
-    v.f("ctrs.linkInAborts", c.linkInAborts);
-    v.f("ctrs.linkStaleAcks", c.linkStaleAcks);
-    v.f("ctrs.linkOverrunDrops", c.linkOverrunDrops);
-    v.f("ctrs.linkDeadDrops", c.linkDeadDrops);
-    v.f("ctrs.fusedRuns", c.fused.runs);
-    v.f("ctrs.fusedInstructions", c.fused.instructions);
-    v.f("ctrs.fusedCycles", c.fused.cycles);
-    for (size_t i = 0; i < c.fused.lenLog2.size(); ++i)
-        v.f(("ctrs.fusedLenLog2_" + std::to_string(i)).c_str(),
-            c.fused.lenLog2[i]);
-    v.f("ctrs.blockcCompiles", c.blockc.compiles);
-    v.f("ctrs.blockcSteps", c.blockc.steps);
-    v.f("ctrs.blockcInvalidations", c.blockc.invalidations);
-    v.f("ctrs.blockcEnters", c.blockc.enters);
-    v.f("ctrs.blockcChains", c.blockc.chains);
-    v.f("ctrs.blockcInstructions", c.blockc.instructions);
-    v.f("ctrs.blockcCycles", c.blockc.cycles);
-    for (size_t i = 0; i < c.blockc.deopts.size(); ++i)
-        v.f(("ctrs.blockcDeopts_" + std::to_string(i)).c_str(),
-            c.blockc.deopts[i]);
+    for (const obs::CounterRow &row : obs::kCounterRows) {
+        auto *slots = obs::counterSlots(c, row);
+        for (size_t i = 0; i < row.width; ++i)
+            v.counter(row, i, slots[i]);
+    }
 }
 
 template <typename V, typename C>
@@ -983,10 +968,10 @@ blobSummary(const std::vector<uint8_t> &b)
  *  `dispatched` is deliberately absent: it counts dispatches on one
  *  queue instance, which a restored continuation legitimately resets. */
 Rows
-record(const Snapshot &s)
+record(const Snapshot &s, const DiffOptions &opts)
 {
     Rows rows;
-    RecordV v{rows, ""};
+    RecordV v{rows, "", opts.ignoreCacheStats};
     v.f("meta.now", s.now);
     v.f("topo.nodeCount", static_cast<uint64_t>(s.nodes.size()));
     v.f("topo.connCount", static_cast<uint64_t>(s.conns.size()));
@@ -1048,14 +1033,6 @@ record(const Snapshot &s)
 }
 
 bool
-isCacheStat(const std::string &path)
-{
-    return path.find("ctrs.icache") != std::string::npos ||
-           path.find("ctrs.fused") != std::string::npos ||
-           path.find("ctrs.blockc") != std::string::npos;
-}
-
-bool
 endsWith(const std::string &path, const char *suffix)
 {
     const size_t n = std::char_traits<char>::length(suffix);
@@ -1078,8 +1055,8 @@ divergences(const Snapshot &a, const Snapshot &b,
             const DiffOptions &opts)
 {
     std::vector<Divergence> out;
-    const Rows ra = record(a);
-    const Rows rb = record(b);
+    const Rows ra = record(a, opts);
+    const Rows rb = record(b, opts);
     const size_t n = std::min(ra.size(), rb.size());
     for (size_t i = 0; i < n; ++i) {
         if (ra[i].first != rb[i].first) {
@@ -1089,8 +1066,6 @@ divergences(const Snapshot &a, const Snapshot &b,
                            ra[i].second, rb[i].second});
             return out;
         }
-        if (opts.ignoreCacheStats && isCacheStat(ra[i].first))
-            continue;
         if (opts.ignoreSchedulerSeqs && isSchedulerSeq(ra[i].first))
             continue;
         if (ra[i].second != rb[i].second)

@@ -172,10 +172,10 @@ Snapshot readFile(const std::string &path);
 ///@{
 struct DiffOptions
 {
-    /** Ignore predecode-cache and fused-loop statistics: they are
-     *  host-side (a restored run re-decodes dropped cache entries, so
-     *  its icache miss counts legitimately differ from the
-     *  uninterrupted run's). */
+    /** Ignore the counter table's cache and host rows (predecode
+     *  cache, fused loop, block tier; obs::CounterClass): a restored
+     *  run re-decodes dropped cache entries, so its icache miss counts
+     *  legitimately differ from the uninterrupted run's. */
     bool ignoreCacheStats = false;
 
     /** Ignore interpreter scheduling bookkeeping (the stepSeq /

@@ -13,7 +13,9 @@
 # epoch-window equality runs under tsan, the lossy variant under asan.
 # The routing suite (test_route) also carries both: serial-vs-parallel
 # routed-fabric identity under tsan, kill/reroute/partition under
-# asan; its decoder/switch fuzzers (test_fuzz_route) run under asan.
+# asan; its decoder/switch fuzzers (test_fuzz_route) run under asan,
+# and so does the JSON writer/counter-table suite (test_export), which
+# feeds hostile node names through every exporter.
 #
 # Usage: tools/check.sh [--no-tsan] [--no-asan]
 set -eu
@@ -137,7 +139,7 @@ if want --no-asan; then
         --target test_profile --target test_snap \
         --target test_fuzz_snap --target test_blockc \
         --target test_scale --target test_route \
-        --target test_fuzz_route
+        --target test_fuzz_route --target test_export
 fi
 
 echo "== all checks passed =="

@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "apps/dbsearch.hh"
+#include "base/json.hh"
 #include "isa/disasm.hh"
 #include "obs/chrome_trace.hh"
 #include "obs/flight.hh"
@@ -316,27 +317,33 @@ main(int argc, char **argv)
         total.cycles - std::min(total.cycles, fusedCyc + blockCyc);
 
     if (json) {
-        std::cout << "{\"scenario\": \"" << scenario << "\""
-                  << ", \"threads\": " << threads;
+        JsonWriter w(std::cout);
+        w.beginObject()
+            .field("scenario", scenario)
+            .field("threads", threads);
         if (db)
-            std::cout << ", \"width\": " << cfg.width
-                      << ", \"height\": " << cfg.height
-                      << ", \"queries\": " << queries << ", \"answers\": "
-                      << db->answers().size();
+            w.field("width", cfg.width)
+                .field("height", cfg.height)
+                .field("queries", queries)
+                .field("answers", db->answers().size());
         else
-            std::cout << ", \"iters\": " << iters;
-        std::cout << ", \"ok\": " << (ok ? "true" : "false")
-                  << ", \"simulated_ns\": " << (t1 - t0)
-                  << ", \"instructions\": " << total.instructions
-                  << ", \"cycles\": " << total.cycles
-                  << ", \"icache_hit_rate\": " << total.icacheHitRate()
-                  << ", \"link_bytes_out\": " << total.linkBytesOut
-                  << ", \"link_bytes_in\": " << total.linkBytesIn
-                  << ", \"process_starts\": " << total.processStarts
-                  << ", \"tier_cycles\": {\"interp\": " << interpCyc
-                  << ", \"fused\": " << fusedCyc << ", \"blockc\": "
-                  << blockCyc << "}"
-                  << ", \"profile_samples\": " << samples << "}\n";
+            w.field("iters", iters);
+        w.field("ok", ok)
+            .field("simulated_ns", t1 - t0)
+            .field("instructions", total.instructions)
+            .field("cycles", total.cycles)
+            .field("icache_hit_rate", total.icacheHitRate())
+            .field("link_bytes_out", total.linkBytesOut)
+            .field("link_bytes_in", total.linkBytesIn)
+            .field("process_starts", total.processStarts)
+            .key("tier_cycles")
+            .beginObject()
+            .field("interp", interpCyc)
+            .field("fused", fusedCyc)
+            .field("blockc", blockCyc)
+            .end()
+            .field("profile_samples", samples)
+            .end();
     } else {
         std::cout << "tprof: " << scenario;
         if (db)
