@@ -1,43 +1,44 @@
 /**
  * @file
- * Host-side interpreter throughput across the three execution tiers
- * (see DESIGN.md "Interpreter fast path" and "Block compiler"):
+ * The emulator's one host-ratio harness: each row times one workload
+ * under one core::Config against a reference row, and passes when the
+ * ratio clears the row's bar.  Rows:
  *
- *   plain   -- byte-at-a-time interpreter (predecode off);
- *   fused   -- predecoded chains + the fused inner loop;
- *   blockc  -- the block-compiler tier (threaded superblocks) on top.
+ *   e7 tiers      plain (predecode off), fused (>= 2x plain) and
+ *                 blockc (>= 3.5x plain) on the E7 loop, the block
+ *                 tier's best case (DESIGN.md "Interpreter fast path",
+ *                 "Block compiler");
+ *   dbsearch      plain and blockc (>= 1.8x plain) on the 4x4 search
+ *                 array: channels, links and scheduling in the mix;
+ *   observability the E7 loop with everything off (the obs baseline),
+ *                 the same config again (an A/A row: the noise floor),
+ *                 the flight recorder (<= 2% over the baseline), the
+ *                 profiler (<= 5%) and the time-series (<= 5%).
  *
- * Two workloads:
- *   - the E7 MIPS loop (straight-line single-cycle code, the block
- *     tier's best case; acceptance: blockc >= 3.5x plain);
- *   - the database-search kernel on a small grid (channels, links and
- *     scheduling in the mix; acceptance: blockc >= 1.8x plain),
- *     toggled through the node configuration.
+ * One rule judges every row: the median over timed repetitions of the
+ * paired ratio (row throughput over its reference's throughput in the
+ * same repetition).  Within a repetition the rows sharing a reference
+ * run back to back, in an order rotated each repetition, so a slow
+ * host phase (CPU steal, a frequency ramp) lands on the whole group
+ * and cancels in the ratio instead of always hitting one row's slot.
+ * Every row must also execute the same instructions in the same
+ * cycles as its reference: neither cache nor observation may change
+ * what the guest did.  A missed bar or a counter mismatch exits 1.
  *
- * Pass/fail uses the MEDIAN of per-repetition speedup RATIOS: each
- * timed repetition runs all three tiers back to back, so a noise
- * burst on a shared host (CPU steal, frequency ramp) lands on the
- * whole triple and mostly cancels in the ratio, where per-tier
- * medians taken from separate batches would let one burst skew a
- * single tier.  The spread ((max-min)/median) of both the raw rates
- * and the ratios is reported so a noisy run is visible in the
- * artifact.  Simulated results (instructions, cycles) must be
- * identical across all three tiers -- both caches are architecturally
- * invisible; this harness checks that too and fails loudly if it
- * ever drifts.
- *
- * Results go to stdout plus BENCH_interp.json (the historical
- * fused-vs-plain artifact) and BENCH_blockc.json (the three-way
- * comparison).
+ * Results go to stdout and BENCH_interp.json.
  */
 
-#include <chrono>
+#include <algorithm>
+#include <ctime>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/dbsearch.hh"
+#include "apps/e7loop.hh"
+#include "base/json.hh"
 
 #include "util.hh"
 
@@ -47,179 +48,169 @@ using namespace transputer::bench;
 namespace
 {
 
-constexpr int warmup = 2; ///< discarded priming runs (cold caches,
-                          ///< allocator growth, CPU frequency ramp)
-constexpr int reps = 7;   ///< timed repetitions (median decides)
+// Many short paired runs beat few long ones on a shared host: a pair
+// a few ms apart sees the same host phase.  Measured on a 4-core host:
+// 101 reps of 20k iterations kept the A/A ratio within 0.6% of 1 over
+// 15 processes, 45 reps of 50k within 1% over 24, and 5 reps of 1M
+// let one of 3 processes read a 17% flight-recorder overhead.
+constexpr int kWarmup = 2;   ///< untimed priming repetitions
+constexpr int kReps = 101;   ///< timed repetitions (the median decides)
+constexpr int kE7Iterations = 20'000; ///< ~1.2M instructions per run
 
-/** The three execution tiers under comparison. */
-enum class Tier
+/** Process CPU time: immune to time spent descheduled. */
+double
+cpuSeconds()
 {
-    Plain,  ///< predecode off (blockc needs predecode: off too)
-    Fused,  ///< predecode on, block compiler off
-    Blockc, ///< predecode on, block compiler on
+    timespec ts{};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+double
+medianOf(std::vector<double> s)
+{
+    std::sort(s.begin(), s.end());
+    const size_t n = s.size();
+    return n == 0 ? 0.0
+                  : n % 2 ? s[n / 2]
+                          : (s[n / 2 - 1] + s[n / 2]) / 2.0;
+}
+
+/** Relative spread of a sample: (max - min) / median. */
+double
+spreadOf(const std::vector<double> &v)
+{
+    if (v.empty())
+        return 0.0;
+    const auto [lo, hi] = std::minmax_element(v.begin(), v.end());
+    const double med = medianOf(v);
+    return med ? (*hi - *lo) / med : 0.0;
+}
+
+enum class Load
+{
+    E7,
+    DbSearch,
+};
+
+enum class Bar
+{
+    None,     ///< a reference or an informational row
+    Speedup,  ///< median ratio >= bar
+    Overhead, ///< 1 / median ratio - 1 <= bar
+};
+
+struct Row
+{
+    const char *name;
+    Load load;
+    core::Config cfg;
+    const char *ref; ///< reference row (its own name for a reference)
+    Bar kind = Bar::None;
+    double bar = 0;
+};
+
+core::Config
+tiers(bool predecode, bool blockc)
+{
+    core::Config c;
+    c.predecode = predecode;
+    c.blockCompile = blockc;
+    return c;
+}
+
+core::Config
+observing(bool flight, bool profile, bool timeseries)
+{
+    core::Config c;
+    c.flight = flight;
+    c.profile = profile;       // default 4096-cycle interval
+    c.timeseries = timeseries; // default 1 ms tick
+    return c;
+}
+
+const std::vector<Row> kRows = {
+    {"e7.plain", Load::E7, tiers(false, false), "e7.plain"},
+    {"e7.fused", Load::E7, tiers(true, false), "e7.plain", Bar::Speedup,
+     2.0},
+    {"e7.blockc", Load::E7, tiers(true, true), "e7.plain", Bar::Speedup,
+     3.5},
+    {"dbsearch.plain", Load::DbSearch, tiers(false, false),
+     "dbsearch.plain"},
+    {"dbsearch.blockc", Load::DbSearch, tiers(true, true),
+     "dbsearch.plain", Bar::Speedup, 1.8},
+    {"obs.baseline", Load::E7, observing(false, false, false),
+     "obs.baseline"},
+    {"obs.aa", Load::E7, observing(false, false, false), "obs.baseline"},
+    {"obs.flight", Load::E7, observing(true, false, false),
+     "obs.baseline", Bar::Overhead, 0.02},
+    {"obs.profile", Load::E7, observing(true, true, false),
+     "obs.baseline", Bar::Overhead, 0.05},
+    {"obs.timeseries", Load::E7, observing(true, false, true),
+     "obs.baseline", Bar::Overhead, 0.05},
 };
 
 struct Measure
 {
-    double ips = 0;     ///< simulated instructions per wall second
+    double ips = 0;     ///< simulated instructions per CPU second
     obs::Counters ctrs; ///< the run's counters
 };
 
-/** All timed repetitions of one workload at one tier. */
-struct Result
-{
-    Measure best;             ///< rep with the highest instr/s
-    std::vector<double> ips;  ///< every timed rep's instr/s
-
-    double
-    median() const
-    {
-        return medianOf(ips);
-    }
-
-    double
-    spread() const
-    {
-        return spreadOf(ips);
-    }
-
-    void
-    add(const Measure &m)
-    {
-        ips.push_back(m.ips);
-        if (m.ips > best.ips)
-            best = m;
-    }
-};
-
 Measure
-runE7Once(Tier tier)
+runOnce(const Row &row)
 {
-    core::Config cfg;
-    cfg.predecode = tier != Tier::Plain;
-    cfg.blockCompile = tier == Tier::Blockc;
-    AsmRig rig(cfg);
-    const double t0 = cpuSeconds();
-    // long enough that a transient host-noise burst (~100 ms) cannot
-    // dominate any single tier's run
-    rig.run(e7LoopSource(500'000));
-    const double secs = cpuSeconds() - t0;
-    Measure m{0, rig.cpu.counters()};
+    Measure m;
+    double secs = 0;
+    if (row.load == Load::E7) {
+        AsmRig rig(row.cfg);
+        const double t0 = cpuSeconds();
+        rig.run(apps::e7LoopSource(kE7Iterations));
+        secs = cpuSeconds() - t0;
+        m.ctrs = rig.cpu.counters();
+    } else {
+        apps::DbSearchConfig cfg;
+        cfg.width = 4;
+        cfg.height = 4;
+        cfg.node = row.cfg;
+        auto db = std::make_unique<apps::DbSearch>(cfg);
+        for (int q = 0; q < 12; ++q)
+            db->inject(static_cast<Word>(7 * q + 3));
+        const Tick limit = db->network().queue().now() + 6'000'000;
+        const double t0 = cpuSeconds();
+        db->network().run(limit);
+        secs = cpuSeconds() - t0;
+        m.ctrs = db->network().counters();
+    }
     m.ips = static_cast<double>(m.ctrs.instructions) / secs;
     return m;
 }
 
-Measure
-runDbSearchOnce(Tier tier)
+/** The simulated outcome of two runs agrees. */
+bool
+sameOutcome(const obs::Counters &a, const obs::Counters &b)
 {
-    apps::DbSearchConfig cfg;
-    cfg.width = 4;
-    cfg.height = 4;
-    cfg.node.predecode = tier != Tier::Plain;
-    cfg.node.blockCompile = tier == Tier::Blockc;
-    auto db = std::make_unique<apps::DbSearch>(cfg);
-    for (int q = 0; q < 12; ++q)
-        db->inject(static_cast<Word>(7 * q + 3));
-    const Tick limit = db->network().queue().now() + 6'000'000;
-    const double t0 = cpuSeconds();
-    db->network().run(limit);
-    const double secs = cpuSeconds() - t0;
-    Measure m{0, db->network().counters()};
-    m.ips = static_cast<double>(m.ctrs.instructions) / secs;
-    return m;
+    return a.instructions == b.instructions && a.cycles == b.cycles;
 }
 
-/** One workload measured across all tiers, tiers paired per rep. */
+/** Every timed sample of one row. */
 struct Samples
 {
-    Result plain, fused, blockc;
-    std::vector<double> fusedRatio;  ///< per-rep fused/plain
-    std::vector<double> blockcRatio; ///< per-rep blockc/plain
+    std::vector<double> ips;
+    std::vector<double> ratio; ///< per-rep ips over the reference's
+    obs::Counters first;       ///< counters of the first timed run
+    bool identical = true;     ///< same instructions and cycles as
+                               ///< the reference
+    bool met = true;           ///< the row's bar holds (or it has none)
 };
 
-template <typename RunOnce>
-Samples
-measure(RunOnce once)
+size_t
+indexOf(const char *name)
 {
-    Samples s;
-    for (int r = -warmup; r < reps; ++r) {
-        const Measure mp = once(Tier::Plain);
-        const Measure mf = once(Tier::Fused);
-        const Measure mb = once(Tier::Blockc);
-        if (r < 0)
-            continue; // warmup: prime before timing counts
-        s.plain.add(mp);
-        s.fused.add(mf);
-        s.blockc.add(mb);
-        if (mp.ips > 0) {
-            s.fusedRatio.push_back(mf.ips / mp.ips);
-            s.blockcRatio.push_back(mb.ips / mp.ips);
-        }
-    }
-    return s;
-}
-
-struct Workload
-{
-    const char *name;
-    Samples s;
-    double bar = 0; ///< acceptance: median per-rep blockc/plain ratio
-
-    double
-    fusedSpeedup() const
-    {
-        return medianOf(s.fusedRatio);
-    }
-
-    double
-    blockcSpeedup() const
-    {
-        return medianOf(s.blockcRatio);
-    }
-
-    /** The simulated outcome must not depend on either cache. */
-    bool
-    identical() const
-    {
-        const obs::Counters &p = s.plain.best.ctrs,
-                            &f = s.fused.best.ctrs, &b = s.blockc.best.ctrs;
-        return p.instructions == f.instructions && p.cycles == f.cycles &&
-               p.instructions == b.instructions && p.cycles == b.cycles;
-    }
-};
-
-void
-workloadJson(JsonWriter &json, const Workload &w)
-{
-    const auto tier = [&](const char *name, const Result &r) {
-        json.key(name)
-            .beginObject()
-            .field("ips_median", r.median())
-            .field("ips_best", r.best.ips)
-            .field("spread", r.spread())
-            .end();
-    };
-    const obs::Counters &best = w.s.blockc.best.ctrs;
-    json.beginObject().field("name", w.name);
-    tier("plain", w.s.plain);
-    tier("fused", w.s.fused);
-    tier("blockc", w.s.blockc);
-    json.field("speedup_fused", w.fusedSpeedup())
-        .field("speedup_blockc", w.blockcSpeedup())
-        .field("ratio_spread", spreadOf(w.s.blockcRatio))
-        .field("bar", w.bar)
-        .field("identical", w.identical())
-        .field("instructions", best.instructions)
-        .field("icache_hit_rate", best.icacheHitRate())
-        .field("blockc_enters", best.blockc.enters)
-        .field("blockc_chains", best.blockc.chains)
-        .field("blockc_mean_run", best.blockc.meanRunLength())
-        .field("blockc_compiles", best.blockc.compiles)
-        .key("blockc_deopts")
-        .beginObject();
-    for (size_t d = 0; d < obs::kBlockDeopts; ++d)
-        json.field(obs::kBlockDeoptNames[d], best.blockc.deopts[d]);
-    json.end().end();
+    for (size_t i = 0; i < kRows.size(); ++i)
+        if (std::string(kRows[i].name) == name)
+            return i;
+    return kRows.size();
 }
 
 } // namespace
@@ -227,100 +218,110 @@ workloadJson(JsonWriter &json, const Workload &w)
 int
 main()
 {
-    heading("execution tiers: instructions/second, "
-            "plain vs fused vs block-compiled");
-
+    heading("host ratios: execution tiers and observability, "
+            "median of paired per-rep ratios");
     const bool tier_usable = core::Transputer::blockBackendUsable();
 
-    std::vector<Workload> loads;
-    loads.push_back(
-        {"e7_mips_loop", measure([](Tier t) { return runE7Once(t); }),
-         3.5});
-    loads.push_back({"dbsearch_4x4",
-                     measure([](Tier t) { return runDbSearchOnce(t); }),
-                     1.8});
-
-    Table t({16, 13, 13, 13, 9, 9, 9, 10});
-    t.row("workload", "plain i/s", "fused i/s", "blockc i/s",
-          "fusedx", "blockx", "rspread", "identical");
-    t.rule();
-    bool all_identical = true;
-    for (const auto &w : loads) {
-        t.row(w.name, w.s.plain.median(), w.s.fused.median(),
-              w.s.blockc.median(), w.fusedSpeedup(),
-              w.blockcSpeedup(), spreadOf(w.s.blockcRatio),
-              w.identical() ? "yes" : "NO");
-        all_identical = all_identical && w.identical();
-    }
-    t.rule();
-
-    // the pass bar is a median of per-rep ratios: best-of-N let one
-    // lucky rep decide, and per-tier medians from separate batches
-    // let one noise burst sink a single tier.  Only a real
-    // regression -- the typical paired ratio below the bar -- fails.
-    const double e7_fused = loads[0].fusedSpeedup();
-    bool bars_met = e7_fused >= 2.0;
-    for (const auto &w : loads) {
-        const double s = w.blockcSpeedup();
-        const bool met = !tier_usable || s >= w.bar;
-        std::cout << w.name << ": blockc " << s << "x plain"
-                  << " (bar " << w.bar << "x"
-                  << (tier_usable ? "" : ", tier unavailable: waived")
-                  << (met ? ", met" : ", MISSED") << "), ratio spread "
-                  << spreadOf(w.s.blockcRatio) << "\n";
-        bars_met = bars_met && met;
-    }
-    const bool pass = bars_met && all_identical;
-
-    {
-        std::ofstream out("BENCH_interp.json");
-        JsonWriter json(out, 2);
-        json.beginObject()
-            .field("bench", "interp_fast_path")
-            .field("e7_speedup", e7_fused)
-            .field("pass_2x", e7_fused >= 2.0 && all_identical)
-            .field("median_of", reps)
-            .field("identical", all_identical)
-            .key("workloads")
-            .beginArray();
-        for (const auto &w : loads) {
-            const auto &f = w.s.fused;
-            const obs::Counters &c = f.best.ctrs;
-            json.beginObject()
-                .field("name", w.name)
-                .field("ips_on", f.median())
-                .field("ips_off", w.s.plain.median())
-                .field("speedup", w.fusedSpeedup())
-                .field("spread_on", f.spread())
-                .field("spread_off", w.s.plain.spread())
-                .field("instructions", c.instructions)
-                .field("icache_hits", c.icacheHits)
-                .field("icache_misses", c.icacheMisses)
-                .field("icache_hit_rate", c.icacheHitRate())
-                .field("fused_runs", c.fused.runs)
-                .field("fused_mean_run", c.fused.meanRunLength())
-                .end();
+    // group the rows by reference: a group runs back to back each rep
+    std::vector<size_t> ref(kRows.size());
+    for (size_t i = 0; i < kRows.size(); ++i)
+        ref[i] = indexOf(kRows[i].ref);
+    std::vector<std::vector<size_t>> groups;
+    for (size_t i = 0; i < kRows.size(); ++i)
+        if (ref[i] == i) {
+            groups.push_back({});
+            for (size_t j = 0; j < kRows.size(); ++j)
+                if (ref[j] == i)
+                    groups.back().push_back(j);
         }
-        json.end().end();
-    }
-    std::cout << "wrote BENCH_interp.json\n";
 
-    {
-        std::ofstream out("BENCH_blockc.json");
-        JsonWriter json(out, 2);
+    std::vector<Samples> s(kRows.size());
+    for (int r = -kWarmup; r < kReps; ++r) {
+        std::vector<Measure> m(kRows.size());
+        const size_t turn = static_cast<size_t>(r + kWarmup);
+        for (const auto &g : groups)
+            for (size_t k = 0; k < g.size(); ++k) {
+                const size_t i = g[(turn + k) % g.size()];
+                m[i] = runOnce(kRows[i]);
+            }
+        if (r < 0)
+            continue; // warmup: prime caches and the allocator
+        for (size_t i = 0; i < kRows.size(); ++i) {
+            if (r == 0)
+                s[i].first = m[i].ctrs;
+            s[i].ips.push_back(m[i].ips);
+            s[i].ratio.push_back(m[i].ips / m[ref[i]].ips);
+            s[i].identical = s[i].identical &&
+                             sameOutcome(m[i].ctrs, m[ref[i]].ctrs);
+        }
+    }
+
+    Table t({17, 13, 9, 9, 9, 13, 6, 10});
+    t.row("row", "instr/s", "spread", "ratio", "rspread", "bar", "met",
+          "identical");
+    t.rule();
+    bool pass = true;
+    for (size_t i = 0; i < kRows.size(); ++i) {
+        const Row &row = kRows[i];
+        const double ratio = medianOf(s[i].ratio);
+        const bool waived = !tier_usable && row.cfg.blockCompile;
+        std::string bar = "--";
+        if (row.kind == Bar::Speedup) {
+            s[i].met = waived || ratio >= row.bar;
+            bar = ">= " + std::to_string(row.bar).substr(0, 4) + "x";
+        } else if (row.kind == Bar::Overhead) {
+            s[i].met = 1.0 / ratio - 1.0 <= row.bar;
+            bar = "<= +" + std::to_string(row.bar * 100).substr(0, 3) +
+                  "%";
+        }
+        pass = pass && s[i].met && s[i].identical;
+        t.row(row.name, medianOf(s[i].ips), spreadOf(s[i].ips), ratio,
+              spreadOf(s[i].ratio), bar,
+              row.kind == Bar::None ? "--" : s[i].met ? "yes" : "NO",
+              s[i].identical ? "yes" : "NO");
+    }
+    t.rule();
+    std::cout << (pass ? "all bars met\n" : "bars MISSED\n");
+
+    std::ofstream out("BENCH_interp.json");
+    JsonWriter json(out, 2);
+    json.beginObject()
+        .field("bench", "host_ratios")
+        .field("rule", "median of per-rep paired ratios, order rotated "
+                       "per rep")
+        .field("hardware_concurrency",
+               std::thread::hardware_concurrency())
+        .field("reps", kReps)
+        .field("e7_iterations", kE7Iterations)
+        .field("tier_usable", tier_usable)
+        .field("pass", pass)
+        .key("rows")
+        .beginArray();
+    for (size_t i = 0; i < kRows.size(); ++i) {
+        const Row &row = kRows[i];
+        const obs::Counters &c = s[i].first;
         json.beginObject()
-            .field("bench", "block_compiler_tier")
-            .field("tier_usable", tier_usable)
-            .field("median_of", reps)
-            .field("pass", pass)
-            .field("identical", all_identical)
-            .key("workloads")
-            .beginArray();
-        for (const auto &w : loads)
-            workloadJson(json, w);
-        json.end().end();
+            .field("name", row.name)
+            .field("reference", row.ref)
+            .field("ips_median", medianOf(s[i].ips))
+            .field("ips_spread", spreadOf(s[i].ips))
+            .field("ratio", medianOf(s[i].ratio))
+            .field("ratio_spread", spreadOf(s[i].ratio));
+        if (row.kind == Bar::Speedup)
+            json.field("min_speedup", row.bar).field("met", s[i].met);
+        if (row.kind == Bar::Overhead)
+            json.field("overhead", 1.0 / medianOf(s[i].ratio) - 1.0)
+                .field("max_overhead", row.bar)
+                .field("met", s[i].met);
+        json.field("identical", s[i].identical)
+            .field("instructions", c.instructions)
+            .field("icache_hit_rate", c.icacheHitRate())
+            .field("fused_mean_run", c.fused.meanRunLength())
+            .field("blockc_enters", c.blockc.enters)
+            .field("blockc_mean_run", c.blockc.meanRunLength())
+            .end();
     }
-    std::cout << "wrote BENCH_blockc.json\n";
-
+    json.end().end();
+    std::cout << "wrote BENCH_interp.json\n";
     return pass ? 0 : 1;
 }

@@ -10,14 +10,12 @@
 #define TRANSPUTER_BENCH_UTIL_HH
 
 #include <algorithm>
-#include <ctime>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "base/json.hh"
 #include "core/transputer.hh"
 #include "net/network.hh"
 #include "net/occam_boot.hh"
@@ -113,53 +111,6 @@ class Table
 
     std::vector<int> widths_;
 };
-
-/** Process CPU time: immune to the host's scheduling noise. */
-inline double
-cpuSeconds()
-{
-    timespec ts{};
-    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
-    return static_cast<double>(ts.tv_sec) +
-           static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-inline double
-medianOf(std::vector<double> s)
-{
-    std::sort(s.begin(), s.end());
-    const size_t n = s.size();
-    return n == 0 ? 0.0
-                  : n % 2 ? s[n / 2]
-                          : (s[n / 2 - 1] + s[n / 2]) / 2.0;
-}
-
-/** Relative spread of a sample: (max - min) / median. */
-inline double
-spreadOf(const std::vector<double> &v)
-{
-    if (v.empty())
-        return 0.0;
-    const auto [lo, hi] = std::minmax_element(v.begin(), v.end());
-    const double med = medianOf(v);
-    return med ? (*hi - *lo) / med : 0.0;
-}
-
-/** The section 3.2.1 instruction-mix loop (assembler source). */
-inline std::string
-e7LoopSource(int iterations)
-{
-    std::string body;
-    for (int r = 0; r < 6; ++r)
-        body += "  ldc 5\n stl 1\n adc 3\n stl 2\n ldc 9\n"
-                "  adc 1\n stl 3\n ldlp 4\n stl 4\n";
-    return "start:\n"
-           "  ldc " + std::to_string(iterations) + "\n stl 30\n"
-           "outer:\n" + body +
-           "  ldl 30\n adc -1\n stl 30\n"
-           "  ldl 30\n cj done\n  j outer\n"
-           "done: stopp\n";
-}
 
 inline void
 heading(const std::string &title)

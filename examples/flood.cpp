@@ -4,8 +4,8 @@
  * spans a tree from the corner, the host injects wave keys, every
  * node contributes 1 and the totals reduce back to the root -- so
  * each wave must report exactly w*h.  The topology size is a command
- * line flag, which is how bench_scale and tools/check.sh drive the
- * same binary from a 32x32 smoke test up to 100k-node runs.
+ * line flag, which is how tools/check.sh drives the same binary
+ * from a 32x32 smoke test up to 100k-node runs.
  *
  * Usage: flood [width] [height] [threads] [waves]
  *   width, height  array dimensions       (default 32 x 32)

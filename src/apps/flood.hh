@@ -1,7 +1,8 @@
 /**
  * @file
  * A scalable flood/reduce workload: the wave propagation benchmark
- * behind the 100k-node scale runs (bench/bench_scale.cpp).
+ * behind the 100k-node scale runs (examples/flood, perfbench's
+ * flood_100k workload, tests/test_scale.cc).
  *
  * A w x h array of transputers spans a tree rooted at the corner
  * (requests travel east along row 0 and south down every column --

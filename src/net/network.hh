@@ -24,6 +24,11 @@
 #include "sim/event_queue.hh"
 #include "tasm/assembler.hh"
 
+namespace transputer::par
+{
+struct RunStats;
+} // namespace transputer::par
+
 namespace transputer::net
 {
 
@@ -199,9 +204,11 @@ class Network
      * Run the simulation on opts.threads shards (conservative
      * parallel discrete-event simulation, src/par).  Bit-identical to
      * the serial run(limit).  Defined in src/par/parallel_engine.cc:
-     * callers must link transputer_par.
+     * callers must link transputer_par.  If stats is given, it
+     * receives the run's rounds, barriers and per-shard events.
      */
-    Tick run(Tick limit, const RunOptions &opts);
+    Tick run(Tick limit, const RunOptions &opts,
+             par::RunStats *stats = nullptr);
 
     /** Visit every link engine (tracing, statistics). */
     template <typename Fn>

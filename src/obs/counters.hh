@@ -21,8 +21,8 @@
  *
  * The counters themselves are always compiled in: each is a single
  * unconditional increment on an already-memory-touching path, which
- * keeps bench_interp within its < 2% regression budget (measured in
- * EXPERIMENTS notes) without a compile-time gate.
+ * keeps bench_interp's tier ratios above their bars without a
+ * compile-time gate.
  */
 
 #ifndef TRANSPUTER_OBS_COUNTERS_HH

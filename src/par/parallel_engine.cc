@@ -312,9 +312,9 @@ namespace transputer::net
 // depend on transputer_par (callers of the parallel overload link
 // transputer_par explicitly)
 Tick
-Network::run(Tick limit, const RunOptions &opts)
+Network::run(Tick limit, const RunOptions &opts, par::RunStats *stats)
 {
-    const Tick reached = par::runParallel(*this, limit, opts);
+    const Tick reached = par::runParallel(*this, limit, opts, stats);
     // the post-run hook (obs::armFlightDump) also fires inside the
     // serial run() that single-shard configurations delegate to; a
     // second evaluation here is cheap and the dump itself is one-shot

@@ -601,7 +601,8 @@ TEST(BlockTierWorkloads, DbSearchTierOnOffBitIdentical)
         // tier's observed mean run length stays under the promotion
         // gate (Transputer::blockPromotionAllowed), so the tier
         // declines every entry point and the workload keeps the
-        // faster fused-loop profile (see BENCH_blockc.json)
+        // faster fused-loop profile (bench_interp's dbsearch.blockc
+        // row records blockc_enters 0)
         EXPECT_EQ(on->network().counters().blockc.enters, 0u);
     }
     EXPECT_EQ(off->network().counters().blockc.enters, 0u);

@@ -405,6 +405,48 @@ TEST(ReliableChannel, DeliversEverythingUnderFivePercentLoss)
     EXPECT_GT(r.injector.stats().dataDropped, 0u); // loss did happen
 }
 
+TEST(ReliableChannel, DeliveredPrefixExactAcrossLossSweep)
+{
+    // symmetric data+ack loss from 0 to 10%: under heavy loss the
+    // sender may declare the link dead after maxRetries (bounded
+    // retry, by design), but whatever reached the console must be an
+    // exact prefix -- in order, no duplicates, no corruption
+    constexpr int words = 40;
+    for (const double loss : {0.0, 0.01, 0.02, 0.05, 0.10}) {
+        SCOPED_TRACE("loss " + std::to_string(loss));
+        Rig r;
+        auto ids = buildPipeline(r.net, 2);
+        r.console = std::make_unique<ConsoleSink>(r.net.queue(),
+                                                  link::WireConfig{});
+        r.net.attachPeripheral(ids.back(), 0, *r.console);
+        r.net.setLinkWatchdogs(100'000);
+        // a generous retry budget: the backoff ceiling keeps each
+        // attempt cheap, so heavy loss degrades goodput instead of
+        // giving up
+        fault::ReliableConfig cfg;
+        cfg.maxRetries = 64;
+        bootOccamSource(r.net, ids[0], reliableSender(words, cfg));
+        bootOccamSource(r.net, ids[1], reliableReceiver(words, cfg));
+        if (loss > 0) {
+            fault::FaultPlan plan;
+            plan.seed = 99;
+            plan.line(0, 1).dataLoss = loss;
+            plan.line(0, 1).ackLoss = loss;
+            plan.line(1, 0).dataLoss = loss;
+            plan.line(1, 0).ackLoss = loss;
+            r.injector.arm(r.net, plan);
+        }
+        r.net.run(r.net.queue().now() + 4'000'000'000); // 4 s budget
+
+        const std::vector<Word> got = consoleWords(*r.console);
+        EXPECT_FALSE(got.empty());
+        EXPECT_LE(got.size(), size_t{words});
+        for (size_t i = 0; i < got.size(); ++i)
+            EXPECT_EQ(got[i], static_cast<Word>(100 + i * 3))
+                << "word " << i;
+    }
+}
+
 TEST(ReliableChannel, CleanWireNeedsNoRetries)
 {
     constexpr int words = 5;

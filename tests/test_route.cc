@@ -620,6 +620,83 @@ TEST(RouteFabric, HypercubeFloodSurvivesLossAndAKill)
     EXPECT_GT(rq.fabric().counters().routeLinkFloods, 0u);
 }
 
+TEST(RouteFabric, TorusWavesExactUnderLossAndKills)
+{
+    // the 8x8 torus, two query waves on one fabric per scenario: wave
+    // 1 races the fault plan, wave 2 crosses the rerouted steady
+    // state.  Every live terminal answers wave 2 exactly once with
+    // the right payload, every killed one resolves to an
+    // undeliverable notice, and the clean fabric takes shortest
+    // paths: its mean hops per delivered packet is the torus mean
+    // distance from the root, 256/63.
+    struct Scenario
+    {
+        const char *name;
+        bool loss;
+        std::vector<int> victims;
+    };
+    const Scenario scenarios[] = {
+        {"clean", false, {}},
+        {"loss10", true, {}},
+        {"loss10_kill3", true, {18, 27, 45}},
+    };
+    constexpr Tick waveBudget = 30'000'000'000;
+    for (const Scenario &sc : scenarios) {
+        SCOPED_TRACE(sc.name);
+        apps::RoutedQueryConfig cfg;
+        cfg.topo = Topology::torus(8, 8);
+        apps::RoutedQuery rq(cfg);
+        Fabric &fab = rq.fabric();
+        fault::FaultPlan plan;
+        plan.seed = 4242;
+        if (sc.loss)
+            faultAllTrunks(plan, fab, 0.10, 0.05, 0.01);
+        // kills land while wave 1 is in flight
+        const Tick now0 = rq.network().queue().now();
+        for (size_t i = 0; i < sc.victims.size(); ++i)
+            plan.node(fab.netNode(sc.victims[i])).killAt =
+                now0 + 300'000 + 100'000 * static_cast<Tick>(i);
+        fault::FaultInjector injector;
+        if (sc.loss || !sc.victims.empty())
+            injector.arm(rq.network(), plan);
+
+        const Word key1 = 20, key2 = 40;
+        rq.queryAll(key1);
+        rq.network().run(rq.network().queue().now() + waveBudget);
+        const size_t wave1End = rq.answers().size();
+        rq.queryAll(key2);
+        rq.network().run(rq.network().queue().now() + waveBudget);
+        rq.network().run(rq.network().queue().now() + 5'000'000'000);
+
+        std::map<Word, int> replies, notices;
+        for (size_t i = wave1End; i < rq.answers().size(); ++i) {
+            const auto &a = rq.answers()[i];
+            if (a.vchan == 0) {
+                EXPECT_EQ(a.word, key2 + 1) << "reply from " << a.src;
+                ++replies[a.src];
+            } else {
+                ++notices[a.src];
+            }
+        }
+        for (int t = 1; t < rq.nodes(); ++t) {
+            if (fab.cpu(t).killed()) {
+                EXPECT_GE(notices[t], 1) << "killed terminal " << t;
+                continue;
+            }
+            EXPECT_EQ(replies[t], 1) << "live terminal " << t;
+            EXPECT_EQ(notices[t], 0) << "live terminal " << t;
+        }
+        for (const int v : sc.victims)
+            EXPECT_TRUE(fab.cpu(v).killed()) << "victim " << v;
+
+        if (!sc.loss) {
+            const obs::Counters c = fab.counters();
+            ASSERT_GT(c.routeDelivered, 0u);
+            EXPECT_EQ(c.routeHops * 63, c.routeDelivered * 256);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // fault integration: kills quiesce lines and surface in the recorder
 // ---------------------------------------------------------------------

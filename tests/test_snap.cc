@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "apps/dbsearch.hh"
+#include "apps/e7loop.hh"
 #include "fault/fault.hh"
 #include "par/parallel_engine.hh"
 #include "par/snap_par.hh"
@@ -26,22 +27,6 @@ using namespace transputer;
 namespace
 {
 
-/** The E7 MIPS loop on one node (same program as bench_interp). */
-std::string
-e7Loop(int iterations)
-{
-    std::string body;
-    for (int r = 0; r < 6; ++r)
-        body += "  ldc 5\n stl 1\n adc 3\n stl 2\n ldc 9\n"
-                "  adc 1\n stl 3\n ldlp 4\n stl 4\n";
-    return "start:\n"
-           "  ldc " + std::to_string(iterations) + "\n stl 30\n"
-           "outer:\n" + body +
-           "  ldl 30\n adc -1\n stl 30\n"
-           "  ldl 30\n cj done\n  j outer\n"
-           "done: stopp\n";
-}
-
 std::unique_ptr<net::Network>
 buildE7(bool predecode = true)
 {
@@ -51,7 +36,7 @@ buildE7(bool predecode = true)
     const int id = n->addTransputer(cfg, "e7");
     core::Transputer &t = n->node(id);
     const tasm::Image img = tasm::assemble(
-        e7Loop(50'000), t.memory().memStart(), t.shape());
+        apps::e7LoopSource(50'000), t.memory().memStart(), t.shape());
     n->bootImage(id, img);
     return n;
 }

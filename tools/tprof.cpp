@@ -20,13 +20,17 @@
  *     deadlock).
  *
  * The default run is serial; --threads N profiles the shard-parallel
- * engine instead.  Architectural counters, profiles and time-series
- * are bit-identical either way -- that is a tested invariant
- * (tests/test_profile.cc).  --json replaces the human summary with a
- * machine-readable one on stdout.
+ * engine on N shards instead (N = 1 is the serial engine run to
+ * quiescence, the baseline of a thread sweep).  Architectural
+ * counters, profiles and time-series are bit-identical either way --
+ * that is a tested invariant (tests/test_profile.cc).  --json
+ * replaces the human summary with a machine-readable one on stdout:
+ * the run's host wall time, and with --threads the engine's rounds,
+ * barriers and events per shard.
  */
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -37,6 +41,7 @@
 #include <vector>
 
 #include "apps/dbsearch.hh"
+#include "apps/e7loop.hh"
 #include "base/json.hh"
 #include "isa/disasm.hh"
 #include "obs/chrome_trace.hh"
@@ -63,7 +68,7 @@ usage(const char *argv0)
         << "  --iters N      e7 loop iterations (default 200000)\n"
         << "run:\n"
         << "  --threads N    shard-parallel run with N threads\n"
-        << "                 (default 1: serial)\n"
+        << "                 (default: serial)\n"
         << "  --no-blockc    disable the block-compiler tier\n"
         << "  --json         machine-readable summary on stdout\n"
         << "observability:\n"
@@ -107,22 +112,6 @@ parseInt(const char *argv0, const std::string &flag, const char *s,
                              std::to_string(lo) + ", " +
                              std::to_string(hi) + "]");
     return v;
-}
-
-/** The E7 MIPS straight-line loop (bench/bench_interp.cpp). */
-std::string
-e7LoopSource(long iterations)
-{
-    std::string body;
-    for (int r = 0; r < 6; ++r)
-        body += "  ldc 5\n stl 1\n adc 3\n stl 2\n ldc 9\n"
-                "  adc 1\n stl 3\n ldlp 4\n stl 4\n";
-    return "start:\n"
-           "  ldc " + std::to_string(iterations) + "\n stl 30\n"
-           "outer:\n" + body +
-           "  ldl 30\n adc -1\n stl 30\n"
-           "  ldl 30\n cj done\n  j outer\n"
-           "done: stopp\n";
 }
 
 /** Top PCs by profile samples, summed over processes and annotated
@@ -187,6 +176,7 @@ main(int argc, char **argv)
     long queries = 8;
     long iters = 200'000;
     long threads = 1;
+    bool parallel = false; // --threads given: run through src/par
     bool json = false;
     std::string trace_path = "tprof.trace.json";
     std::string metrics_path = "tprof.metrics.json";
@@ -215,8 +205,10 @@ main(int argc, char **argv)
             queries = num(0, 1'000'000);
         else if (arg == "--iters")
             iters = num(1, 1'000'000'000);
-        else if (arg == "--threads")
+        else if (arg == "--threads") {
             threads = num(1, 256);
+            parallel = true;
+        }
         else if (arg == "--no-blockc")
             cfg.node.blockCompile = false;
         else if (arg == "--json")
@@ -268,7 +260,7 @@ main(int argc, char **argv)
         const int n0 = e7net->addTransputer(cfg.node, "e7");
         auto &node = e7net->node(n0);
         const tasm::Image img =
-            tasm::assemble(e7LoopSource(iters),
+            tasm::assemble(apps::e7LoopSource(iters),
                            node.memory().memStart(), node.shape());
         e7net->bootImage(n0, img);
         netp = e7net.get();
@@ -281,15 +273,20 @@ main(int argc, char **argv)
     if (db)
         for (long i = 0; i < queries; ++i)
             db->inject(static_cast<Word>(i % cfg.keySpace));
-    if (threads > 1) {
+    par::RunStats stats;
+    const auto host0 = std::chrono::steady_clock::now();
+    if (parallel) {
         net::RunOptions opts;
         opts.threads = static_cast<int>(threads);
-        net.run(maxTick, opts);
+        net.run(maxTick, opts, &stats);
     } else if (db) {
         db->runUntilAnswers(static_cast<size_t>(queries));
     } else {
         net.run(maxTick);
     }
+    const double host_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - host0)
+                              .count();
     const Tick t1 = net.queue().now();
 
     bool ok = true;
@@ -343,7 +340,20 @@ main(int argc, char **argv)
             .field("blockc", blockCyc)
             .end()
             .field("profile_samples", samples)
-            .end();
+            .field("host_s", host_s);
+        if (parallel) {
+            w.key("par")
+                .beginObject()
+                .field("rounds", stats.rounds)
+                .field("barriers", stats.barriers)
+                .field("total_events", stats.totalEvents())
+                .key("events_per_shard")
+                .beginArray();
+            for (const par::ShardStats &s : stats.shards)
+                w.value(s.events);
+            w.end().end();
+        }
+        w.end();
     } else {
         std::cout << "tprof: " << scenario;
         if (db)
@@ -351,8 +361,9 @@ main(int argc, char **argv)
                       << queries << " queries";
         else
             std::cout << ", " << iters << " iterations";
-        std::cout << ", " << (threads > 1 ? "parallel" : "serial")
+        std::cout << ", " << (parallel ? "parallel" : "serial")
                   << " run\n"
+                  << "  host time        " << host_s << " s\n"
                   << "  simulated time   " << (t1 - t0) / 1000.0
                   << " us\n"
                   << "  instructions     " << total.instructions << "\n"
